@@ -162,12 +162,11 @@ func TestConcurrentBackupsGroupCommitCrash(t *testing.T) {
 		t.Fatalf("op clock did not advance past creation: create=%d total=%d", createOps, totalOps)
 	}
 
-	// Crash at a spread of points inside the backup phase. The concurrent
-	// op interleaving is not deterministic, so each point is a sample of
-	// the one-directional property, not a replay.
-	span := totalOps - createOps
-	for _, num := range []int64{1, 2, 3} {
-		k := createOps + span*num/4
+	// Crash at every op of the clean run's backup phase, so the late points
+	// (after some Backups acked) are covered as well as the early ones. The
+	// concurrent op interleaving is not deterministic, so each point is a
+	// sample of the one-directional property, not a replay.
+	for k := createOps + 1; k <= totalOps; k++ {
 		t.Run(fmt.Sprintf("crashAtOp%d", k), func(t *testing.T) {
 			m := faultio.NewMemFSPlan(faultio.Plan{Seed: 9, CrashAtOp: k})
 			errs := runBackups(m)

@@ -102,7 +102,7 @@ type Config struct {
 // adversary tap of the paper's threat model (Section 3.3), and the feed
 // of the repository's durable .fdt trace log. ObserveUpload is called
 // from the backup pipeline's consumer goroutine once per upload window,
-// after the store acknowledged the window, with the window's chunks in
+// after the sink accepted the window, with the window's chunks in
 // upload order; refs is only borrowed for the duration of the call.
 // Implementations need not be safe for concurrent use by multiple
 // backups, but must tolerate being called from a different goroutine
@@ -111,21 +111,48 @@ type UploadObserver interface {
 	ObserveUpload(refs []trace.ChunkRef) error
 }
 
+// Sink receives the backup pipeline's upload windows, in upload order.
+// *Store is the local sink; the network client's sink negotiates each
+// window with a server and uploads the misses. PutBatchOwned takes
+// ownership of every chunk's Data (fresh ciphertext the pipeline never
+// touches again) but only borrows the slice itself, which the pipeline
+// reuses for the next window. The pipeline ignores the per-chunk
+// duplicate flags.
+type Sink interface {
+	PutBatchOwned(chunks []PutChunk) ([]bool, error)
+}
+
 // Client is the client side of Figure 2: chunk, encrypt, upload. A Client
 // is not safe for concurrent use (its scrambling RNG is stateful); run one
 // Client per goroutine against a shared Store instead — that is the
 // multi-client architecture the store's sharding is built for.
 type Client struct {
 	cfg     Config
-	store   *Store
+	sink    Sink
+	store   *Store // nil for a sink-only client, which cannot restore
 	rng     *rand.Rand
 	obsRefs []trace.ChunkRef // reused observation window (tap enabled only)
 }
 
-// NewClient returns a client uploading to store.
+// NewClient returns a client uploading to store and restoring from it.
 func NewClient(store *Store, cfg Config) (*Client, error) {
 	if store == nil {
 		return nil, errors.New("dedup: nil store")
+	}
+	c, err := NewSinkClient(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.store = store
+	return c, nil
+}
+
+// NewSinkClient returns a client whose Backup uploads every window to
+// sink. It validates cfg exactly as NewClient does. The client has no
+// store, so its Restore fails.
+func NewSinkClient(sink Sink, cfg Config) (*Client, error) {
+	if sink == nil {
+		return nil, errors.New("dedup: nil sink")
 	}
 	if cfg.Chunking == (chunker.Params{}) {
 		cfg.Chunking = chunker.DefaultParams()
@@ -180,8 +207,11 @@ func NewClient(store *Store, cfg Config) (*Client, error) {
 		}
 		seed = int64(binary.LittleEndian.Uint64(b[:]))
 	}
-	return &Client{cfg: cfg, store: store, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Client{cfg: cfg, sink: sink, rng: rand.New(rand.NewSource(seed))}, nil
 }
+
+// Config returns the client's configuration with every default filled in.
+func (c *Client) Config() Config { return c.cfg }
 
 // encJob is one chunk's slot in an encrypt window: the chunk to encrypt
 // and, for EncMinHash, the precomputed segment key.
@@ -218,8 +248,9 @@ const chunkQueueDepth = 256
 // content-defined chunker (deferring plaintext SHA-256 out of the serial
 // path) and feeds a bounded channel; the consumer gathers fixed-size
 // windows and fans each one out to Config.Workers goroutines that derive
-// keys, encrypt, and fingerprint ciphertexts, then uploads the window with
-// one PutBatch and releases the plaintext buffers back to the chunker
+// keys, encrypt, and fingerprint ciphertexts, then hands the window to the
+// sink (the Store, or the network client's wire sink) with one
+// PutBatchOwned and releases the plaintext buffers back to the chunker
 // pool. At most chunkQueueDepth + uploadWindowChunks plaintext chunks are
 // resident regardless of stream length.
 //
@@ -378,9 +409,9 @@ func (c *Client) backupStreaming(ctx context.Context, cdc chunker.Chunker) (*mle
 			})
 		}
 		// Ownership transfer: the ciphertexts were freshly allocated by the
-		// encrypt stage and are never touched again, so the store may keep
-		// them without its defensive copy.
-		if _, err := c.store.PutBatchOwned(batch); err != nil {
+		// encrypt stage and are never touched again, so the sink may keep
+		// them without a defensive copy.
+		if _, err := c.sink.PutBatchOwned(batch); err != nil {
 			return fmt.Errorf("dedup: upload: %w", err)
 		}
 		if err := c.observeWindow(res); err != nil {
@@ -560,7 +591,7 @@ func (c *Client) backupPlanned(ctx context.Context, cdc chunker.Chunker) (*mle.R
 				Size:        uint32(len(r.ct)),
 			}
 		}
-		if _, err := c.store.PutBatchOwned(batch); err != nil {
+		if _, err := c.sink.PutBatchOwned(batch); err != nil {
 			return nil, fmt.Errorf("dedup: upload: %w", err)
 		}
 		if err := c.observeWindow(res); err != nil {

@@ -3,6 +3,7 @@ package dedup
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -250,6 +251,17 @@ func TestNewClientValidation(t *testing.T) {
 	store := NewStore(0)
 	if _, err := NewClient(nil, Config{}); err == nil {
 		t.Fatal("nil store accepted")
+	}
+	if _, err := NewSinkClient(nil, Config{}); err == nil {
+		t.Fatal("nil sink accepted")
+	}
+	// A sink-only client has no store to read back from.
+	sinkOnly, err := NewSinkClient(store, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sinkOnly.Restore(&mle.Recipe{}, io.Discard); err == nil {
+		t.Fatal("sink-only client restored")
 	}
 	if _, err := NewClient(store, Config{Encryption: EncServerAided}); err == nil {
 		t.Fatal("server-aided without deriver accepted")

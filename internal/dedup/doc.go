@@ -18,15 +18,22 @@
 //     and locks each shard once. Each shard has its own open container, so
 //     container packing is append-safe under concurrent writers without a
 //     global packer lock.
-//   - Client.Backup is a bounded streaming pipeline. A producer goroutine
-//     runs the content-defined chunker (batch Rabin scanning over a fixed
+//   - Client.Backup is a bounded streaming pipeline, and the only backup
+//     pipeline in the module. A producer goroutine runs the
+//     content-defined chunker (batch Rabin scanning over a fixed
 //     lookahead buffer, plaintext SHA-256 deferred out of the serial path)
 //     and feeds a bounded channel; the consumer gathers fixed windows and
 //     fans each out to Config.Workers goroutines that derive keys, encrypt
-//     (AES-256-CTR, the hot path), and fingerprint ciphertexts, then
-//     uploads the window with one PutBatch and releases the plaintext
-//     buffers to the chunker pool. Resident plaintext is bounded by the
-//     queue depth plus one window, regardless of stream length.
+//     (AES-256-CTR, the hot path), and fingerprint ciphertexts, then hands
+//     the window to the client's Sink with one PutBatchOwned and releases
+//     the plaintext buffers to the chunker pool. Resident plaintext is
+//     bounded by the queue depth plus one window, regardless of stream
+//     length.
+//   - One pipeline, two sinks. NewClient's sink is the Store itself;
+//     the network client (internal/server) builds a client with
+//     NewSinkClient over a wire sink that splits each window at the
+//     server's window size, negotiates it, and uploads the misses from
+//     its receiver goroutine, bounded by the server's in-flight limit.
 //   - Scrambling and MinHash encryption need whole-stream segmentation
 //     (the segment divisor depends on the stream's mean chunk size), so
 //     those configurations buffer the chunk list and fix the upload plan

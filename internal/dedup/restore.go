@@ -42,6 +42,9 @@ func (c *Client) RestoreContext(ctx context.Context, recipe *mle.Recipe, w io.Wr
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if c.store == nil {
+		return errors.New("dedup: client has no store to restore from")
+	}
 	if c.cfg.Workers <= 1 && c.cfg.RestoreCacheContainers == 0 {
 		return c.restoreSerial(ctx, recipe, w)
 	}

@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"freqdedup/internal/chunker"
 	"freqdedup/internal/dedup"
-	"freqdedup/internal/fphash"
 	"freqdedup/internal/mle"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/wire"
@@ -31,7 +28,7 @@ type DialConfig struct {
 	// nothing — the server never sees plaintext, so it cannot check.
 	Chunking chunker.Params
 	// ChunkWorkers enables multi-stream chunking (gear only), exactly as
-	// in the in-process pipeline.
+	// in the in-process pipeline (dedup.Config.ChunkWorkers).
 	ChunkWorkers int
 	// Workers is the encrypt+fingerprint fan-out (GOMAXPROCS if 0).
 	Workers int
@@ -40,8 +37,9 @@ type DialConfig struct {
 }
 
 // Client is the network counterpart of the in-process backup client: it
-// chunks and convergently encrypts locally, negotiates fingerprints with
-// the server, uploads only the misses, and hands the recipe to the server
+// runs the same backup pipeline (dedup.Client: chunk and convergently
+// encrypt locally) into a wire sink that negotiates fingerprints with the
+// server and uploads only the misses, then hands the recipe to the server
 // to seal — the full Backup/Restore/Snapshots/Delete surface over one
 // authenticated TCP session.
 //
@@ -59,24 +57,32 @@ type DialConfig struct {
 type Client struct {
 	nc     net.Conn
 	wc     *wire.Conn
-	cfg    DialConfig
 	limits wire.HelloOK
+
+	// pipe is the backup pipeline; it uploads through sink, which carries
+	// the state of the backup in progress.
+	pipe *dedup.Client
+	sink *wireSink
 
 	mu     sync.Mutex
 	broken bool
 	closed bool
 }
 
-// Dial connects, authenticates, and negotiates limits with a server.
+// Dial connects, authenticates, and negotiates limits with a server. It
+// validates cfg as dedup.NewClient does before connecting.
 func Dial(addr string, cfg DialConfig) (*Client, error) {
 	if err := validTenant(cfg.Tenant); err != nil {
 		return nil, fmt.Errorf("server: dial: %w", err)
 	}
-	if cfg.Chunking == (chunker.Params{}) {
-		cfg.Chunking = chunker.DefaultParams()
-	}
-	if err := cfg.Chunking.Validate(); err != nil {
-		return nil, err
+	sink := &wireSink{}
+	pipe, err := dedup.NewSinkClient(sink, dedup.Config{
+		Chunking:     cfg.Chunking,
+		ChunkWorkers: cfg.ChunkWorkers,
+		Workers:      cfg.Workers,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: dial: %w", err)
 	}
 	timeout := cfg.DialTimeout
 	if timeout == 0 {
@@ -86,43 +92,48 @@ func Dial(addr string, cfg DialConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{nc: nc, wc: wire.NewConn(nc), cfg: cfg}
-	if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
+	c := &Client{nc: nc, wc: wire.NewConn(nc), pipe: pipe, sink: sink}
+	if err := c.handshake(cfg, timeout); err != nil {
 		nc.Close()
 		return nil, err
+	}
+	sink.c = c
+	return c, nil
+}
+
+// handshake runs the Hello exchange under timeout and checks the limits
+// the server advertises: they come from the network, so a zero window or
+// in-flight limit is refused rather than trusted.
+func (c *Client) handshake(cfg DialConfig, timeout time.Duration) error {
+	if err := c.nc.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
 	}
 	hello, err := wire.AppendHello(nil, wire.Hello{Version: wire.Version, Tenant: cfg.Tenant, Token: cfg.Token})
 	if err != nil {
-		nc.Close()
-		return nil, err
+		return err
 	}
 	if err := c.wc.Send(wire.THello, hello); err != nil {
-		nc.Close()
-		return nil, err
+		return err
 	}
 	p, err := c.expect(wire.THelloOK)
 	if err != nil {
-		nc.Close()
-		return nil, err
+		return err
 	}
 	if c.limits, err = wire.ParseHelloOK(p); err != nil {
-		nc.Close()
-		return nil, err
+		return err
 	}
 	if c.limits.Version != wire.Version {
-		nc.Close()
-		return nil, fmt.Errorf("server: protocol version %d, want %d", c.limits.Version, wire.Version)
+		return fmt.Errorf("server: protocol version %d, want %d", c.limits.Version, wire.Version)
 	}
-	if uint32(cfg.Chunking.Max) > c.limits.MaxChunkBytes {
-		nc.Close()
-		return nil, fmt.Errorf("server: chunking max %d exceeds the server's chunk limit %d",
-			cfg.Chunking.Max, c.limits.MaxChunkBytes)
+	if c.limits.WindowChunks == 0 || c.limits.MaxInflight == 0 {
+		return fmt.Errorf("server: advertised window of %d chunks with %d in flight; both must be positive",
+			c.limits.WindowChunks, c.limits.MaxInflight)
 	}
-	if err := nc.SetDeadline(time.Time{}); err != nil {
-		nc.Close()
-		return nil, err
+	if m := c.pipe.Config().Chunking.Max; uint32(m) > c.limits.MaxChunkBytes {
+		return fmt.Errorf("server: chunking max %d exceeds the server's chunk limit %d",
+			m, c.limits.MaxChunkBytes)
 	}
-	return c, nil
+	return c.nc.SetDeadline(time.Time{})
 }
 
 // Close releases the connection. Idempotent.
@@ -220,26 +231,110 @@ type cwindow struct {
 	cts  [][]byte // ciphertexts, freed once the data frame is written
 }
 
-// backupShared is the state the Backup sender and receiver goroutines
-// share.
-type backupShared struct {
-	c       *Client
+// wireSink is the backup pipeline's sink on the network client. Each
+// upload window is split at the server-advertised window size; every part
+// takes an in-flight slot, registers its ciphertexts as pending, and is
+// sent as one TNegotiate. The receiver goroutine (recvLoop) answers the
+// negotiate replies with the missed ciphertexts and frees a slot on every
+// window acknowledgment.
+type wireSink struct {
+	c *Client
+
+	// Per-backup state, reset by start.
 	mu      sync.Mutex
 	pending map[uint32]*cwindow
+	seq     uint32
+	negPay  []byte
 
 	// slots bounds in-flight (unacknowledged) windows: the sender
 	// acquires before TNegotiate, the receiver releases on TWindowAck.
 	slots chan struct{}
 
-	doneCh   chan wire.SnapshotInfo // TBackupDone payload
-	recvDone chan struct{}          // receiver exited
-	err      error                  // first receiver error, set before recvDone closes
+	recvDone chan struct{}     // receiver exited
+	info     wire.SnapshotInfo // TBackupDone payload, set before recvDone closes
+	err      error             // receiver error (nil after TBackupDone), set before recvDone closes
+}
+
+// start resets the per-backup state and launches the receiver. The
+// in-flight limit is the server's, clamped like the window size: it comes
+// from the network and sizes the quiesce loop.
+func (s *wireSink) start() {
+	s.pending = make(map[uint32]*cwindow)
+	s.seq = 0
+	s.slots = make(chan struct{}, min(int(s.c.limits.MaxInflight), DefaultMaxInflight))
+	s.recvDone = make(chan struct{})
+	s.info, s.err = wire.SnapshotInfo{}, nil
+	go s.recvLoop()
+}
+
+// acquire takes an in-flight slot, failing if the receiver has exited.
+func (s *wireSink) acquire() error {
+	select {
+	case s.slots <- struct{}{}:
+		return nil
+	case <-s.recvDone:
+		if s.err != nil {
+			return s.err
+		}
+		return errors.New("server: backup done before commit")
+	}
+}
+
+// PutBatchOwned negotiates the pipeline's upload window in parts of at
+// most the server's window size. It returns once every part is sent; the
+// upload of the misses happens on the receiver.
+func (s *wireSink) PutBatchOwned(chunks []dedup.PutChunk) ([]bool, error) {
+	window := min(int(s.c.limits.WindowChunks), DefaultWindowChunks)
+	for len(chunks) > 0 {
+		part := chunks[:min(len(chunks), window)]
+		chunks = chunks[len(part):]
+		w := &cwindow{refs: make([]trace.ChunkRef, len(part)), cts: make([][]byte, len(part))}
+		for i, ch := range part {
+			w.refs[i] = trace.ChunkRef{FP: ch.FP, Size: uint32(len(ch.Data))}
+			w.cts[i] = ch.Data
+		}
+		if err := s.acquire(); err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		s.pending[s.seq] = w
+		s.mu.Unlock()
+		s.negPay = wire.AppendNegotiate(s.negPay[:0], s.seq, w.refs)
+		s.seq++
+		if err := s.c.wc.Send(wire.TNegotiate, s.negPay); err != nil {
+			return nil, err
+		}
+	}
+	return nil, nil
+}
+
+// commit waits until every window is acknowledged, then commits the
+// recipe and waits for the server's TBackupDone.
+func (s *wireSink) commit(entries []mle.RecipeEntry) (wire.SnapshotInfo, error) {
+	// Quiesce: once the sender holds every slot, every window is
+	// acknowledged and the store holds all our chunks.
+	for i := 0; i < cap(s.slots); i++ {
+		if err := s.acquire(); err != nil {
+			return wire.SnapshotInfo{}, err
+		}
+	}
+	payload, err := wire.AppendCommit(nil, entries)
+	if err != nil {
+		return wire.SnapshotInfo{}, err
+	}
+	if err := s.c.wc.Send(wire.TBackupCommit, payload); err != nil {
+		return wire.SnapshotInfo{}, err
+	}
+	<-s.recvDone
+	return s.info, s.err
 }
 
 // recvLoop is Backup's receiver: it answers negotiate replies with the
 // missed ciphertexts, retires acknowledged windows, and terminates on
-// TBackupDone or any error.
-func (s *backupShared) recvLoop() {
+// TBackupDone or any error. Every frame is untrusted: a reply or ack for
+// a window that is unknown or in the wrong state ends the backup with a
+// protocol error.
+func (s *wireSink) recvLoop() {
 	defer close(s.recvDone)
 	var scratch []byte
 	var miss []bool
@@ -261,8 +356,9 @@ func (s *backupShared) recvLoop() {
 			s.mu.Lock()
 			w := s.pending[seq]
 			s.mu.Unlock()
-			if w == nil || len(m) != len(w.refs) {
-				fail(fmt.Errorf("server: negotiate reply for unknown window %d", seq))
+			// cts is nil once the window's reply was answered.
+			if w == nil || w.cts == nil || len(m) != len(w.refs) {
+				fail(fmt.Errorf("server: negotiate reply for unknown or already answered window %d", seq))
 				return
 			}
 			scratch = scratch[:0]
@@ -287,11 +383,11 @@ func (s *backupShared) recvLoop() {
 				return
 			}
 			s.mu.Lock()
-			_, ok := s.pending[seq]
+			w := s.pending[seq]
 			delete(s.pending, seq)
 			s.mu.Unlock()
-			if !ok {
-				fail(fmt.Errorf("server: ack for unknown window %d", seq))
+			if w == nil || w.cts != nil {
+				fail(fmt.Errorf("server: ack for unknown or unanswered window %d", seq))
 				return
 			}
 			<-s.slots
@@ -301,7 +397,7 @@ func (s *backupShared) recvLoop() {
 				fail(err)
 				return
 			}
-			s.doneCh <- info
+			s.info = info
 			return
 		case wire.TError:
 			e, perr := wire.ParseError(p)
@@ -318,24 +414,29 @@ func (s *backupShared) recvLoop() {
 	}
 }
 
-// Backup chunks and convergently encrypts src locally, negotiates each
+// Backup runs the backup pipeline over src — chunk and convergently
+// encrypt locally, exactly as dedup.Client.Backup — negotiates each
 // window's fingerprints with the server, uploads only the chunks the
-// shared store is missing, and commits the recipe — returning once the
+// shared store is missing, and commits the recipe, returning once the
 // server acknowledges the snapshot durable. Windows pipeline: up to the
 // server-advertised in-flight limit of windows may be unacknowledged at
 // once, so encryption, negotiation, and upload overlap.
 //
 // Cancelling ctx abandons the session (the connection is closed and the
-// server aborts: no snapshot appears).
+// server aborts: no snapshot appears). As with dedup.Client.Backup, if
+// Backup returns an error the chunking goroutine may still be completing
+// one in-flight read of src: do not reuse, reset, or close a
+// non-thread-safe src immediately after a failed Backup.
 func (c *Client) Backup(ctx context.Context, name string, src io.Reader) (wire.SnapshotInfo, error) {
 	if err := c.begin(); err != nil {
 		return wire.SnapshotInfo{}, err
 	}
-	if _, err := wire.AppendName(nil, name); err != nil {
+	payload, err := wire.AppendName(nil, name)
+	if err != nil {
 		return wire.SnapshotInfo{}, err
 	}
 	ctxFired := c.watchCtx(ctx)
-	info, broken, err := c.backup(name, src)
+	info, broken, err := c.backup(ctx, payload, src)
 	if ctxFired() {
 		err = ctx.Err()
 		broken = true
@@ -352,12 +453,8 @@ func (c *Client) Backup(ctx context.Context, name string, src io.Reader) (wire.S
 
 // backup is Backup's body; broken reports whether the session state is
 // unrecoverable (mid-pipeline failure) as opposed to a clean rejection.
-func (c *Client) backup(name string, src io.Reader) (info wire.SnapshotInfo, broken bool, err error) {
-	payload, err := wire.AppendName(nil, name)
-	if err != nil {
-		return wire.SnapshotInfo{}, false, err
-	}
-	if err := c.wc.Send(wire.TBackupBegin, payload); err != nil {
+func (c *Client) backup(ctx context.Context, namePayload []byte, src io.Reader) (info wire.SnapshotInfo, broken bool, err error) {
+	if err := c.wc.Send(wire.TBackupBegin, namePayload); err != nil {
 		return wire.SnapshotInfo{}, true, err
 	}
 	if _, err := c.expect(wire.TBackupReady); err != nil {
@@ -366,208 +463,21 @@ func (c *Client) backup(name string, src io.Reader) (info wire.SnapshotInfo, bro
 		clean := errors.Is(err, dedup.ErrSnapshotExists) || errors.As(err, &ei)
 		return wire.SnapshotInfo{}, !clean, err
 	}
-
-	windowChunks := int(c.limits.WindowChunks)
-	if windowChunks > DefaultWindowChunks {
-		windowChunks = DefaultWindowChunks
-	}
-	shared := &backupShared{
-		c:        c,
-		pending:  make(map[uint32]*cwindow),
-		slots:    make(chan struct{}, c.limits.MaxInflight),
-		doneCh:   make(chan wire.SnapshotInfo, 1),
-		recvDone: make(chan struct{}),
-	}
-	go shared.recvLoop()
 	// From here on every failure is mid-pipeline: the receiver may have
 	// frames in flight, so the session cannot be reused.
-	info, err = c.runBackupPipeline(name, src, windowChunks, shared)
+	c.sink.start()
+	recipe, err := c.pipe.BackupContext(ctx, src)
+	if err == nil {
+		info, err = c.sink.commit(recipe.Entries)
+	}
 	if err != nil {
-		// Unblock and collect the receiver before returning: markBroken
-		// closes the conn, which ends it.
+		// Unblock and collect the receiver before returning: closing the
+		// conn ends it.
 		c.nc.Close()
-		<-shared.recvDone
+		<-c.sink.recvDone
 		return wire.SnapshotInfo{}, true, err
 	}
 	return info, false, nil
-}
-
-// runBackupPipeline is the sender side: chunk, encrypt, negotiate,
-// commit.
-func (c *Client) runBackupPipeline(name string, src io.Reader, windowChunks int, shared *backupShared) (wire.SnapshotInfo, error) {
-	params := c.cfg.Chunking
-	params.DeferFingerprint = true
-	var (
-		cdc chunker.Chunker
-		err error
-	)
-	if c.cfg.ChunkWorkers > 1 && params.Algorithm == chunker.AlgoGear {
-		cdc, err = chunker.NewMultiGear(src, params, c.cfg.ChunkWorkers)
-	} else {
-		cdc, err = chunker.New(src, params)
-	}
-	if err != nil {
-		return wire.SnapshotInfo{}, err
-	}
-	defer func() {
-		if mc, ok := cdc.(interface{ Close() error }); ok {
-			_ = mc.Close()
-		}
-	}()
-
-	recvErr := func() error {
-		if shared.err != nil {
-			return shared.err
-		}
-		return errors.New("server: connection closed during backup")
-	}
-
-	var (
-		entries []mle.RecipeEntry
-		window  []chunker.Chunk
-		seq     uint32
-		negPay  []byte
-	)
-	flush := func() error {
-		if len(window) == 0 {
-			return nil
-		}
-		refs, cts, werr := c.encryptWindow(window)
-		if werr != nil {
-			return werr
-		}
-		for i, r := range refs {
-			entries = append(entries, mle.RecipeEntry{Fingerprint: r.FP, Key: cts.keys[i], Size: r.Size})
-		}
-		select {
-		case shared.slots <- struct{}{}:
-		case <-shared.recvDone:
-			return recvErr()
-		}
-		w := &cwindow{refs: refs, cts: cts.data}
-		shared.mu.Lock()
-		shared.pending[seq] = w
-		shared.mu.Unlock()
-		negPay = wire.AppendNegotiate(negPay[:0], seq, refs)
-		seq++
-		if serr := c.wc.Send(wire.TNegotiate, negPay); serr != nil {
-			return serr
-		}
-		for i := range window {
-			window[i].Release()
-		}
-		window = window[:0]
-		return nil
-	}
-	for {
-		ch, cerr := cdc.Next()
-		if errors.Is(cerr, io.EOF) {
-			break
-		}
-		if cerr != nil {
-			for i := range window {
-				window[i].Release()
-			}
-			return wire.SnapshotInfo{}, fmt.Errorf("server: chunking: %w", cerr)
-		}
-		window = append(window, ch)
-		if len(window) == windowChunks {
-			if err := flush(); err != nil {
-				for i := range window {
-					window[i].Release()
-				}
-				return wire.SnapshotInfo{}, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		for i := range window {
-			window[i].Release()
-		}
-		return wire.SnapshotInfo{}, err
-	}
-
-	// Quiesce: once the sender holds every slot, every window is
-	// acknowledged and the store holds all our chunks.
-	for i := 0; i < cap(shared.slots); i++ {
-		select {
-		case shared.slots <- struct{}{}:
-		case <-shared.recvDone:
-			return wire.SnapshotInfo{}, recvErr()
-		}
-	}
-	commit, err := wire.AppendCommit(nil, entries)
-	if err != nil {
-		return wire.SnapshotInfo{}, err
-	}
-	if err := c.wc.Send(wire.TBackupCommit, commit); err != nil {
-		return wire.SnapshotInfo{}, err
-	}
-	select {
-	case info := <-shared.doneCh:
-		<-shared.recvDone
-		return info, nil
-	case <-shared.recvDone:
-		return wire.SnapshotInfo{}, recvErr()
-	}
-}
-
-// windowCiphertexts is encryptWindow's result: parallel slices in window
-// order.
-type windowCiphertexts struct {
-	data [][]byte
-	keys []mle.Key
-}
-
-// encryptWindow convergently encrypts one window with the worker fan-out:
-// key from the plaintext, deterministic CTR encryption, ciphertext
-// fingerprint — bit-identical to the in-process pipeline's EncConvergent
-// path, which is what makes cross-client dedup work.
-func (c *Client) encryptWindow(window []chunker.Chunk) ([]trace.ChunkRef, windowCiphertexts, error) {
-	refs := make([]trace.ChunkRef, len(window))
-	cts := windowCiphertexts{data: make([][]byte, len(window)), keys: make([]mle.Key, len(window))}
-	err := parallelFor(c.cfg.Workers, len(window), func(i int) {
-		key := mle.ConvergentKey(window[i].Data)
-		ct := mle.EncryptDeterministic(key, window[i].Data)
-		refs[i] = trace.ChunkRef{FP: fphash.FromBytes(ct), Size: uint32(len(ct))}
-		cts.data[i] = ct
-		cts.keys[i] = key
-	})
-	return refs, cts, err
-}
-
-// parallelFor runs fn(0..n-1) across workers goroutines (GOMAXPROCS if
-// 0), inline when 1.
-func parallelFor(workers, n int, fn func(i int)) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return nil
 }
 
 // Restore streams the named snapshot's plaintext to w. Bytes written to w

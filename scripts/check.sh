@@ -61,6 +61,12 @@ go build ./... || fail "go build"
 echo "== go test -race"
 go test -race ./... || fail "go test -race"
 
+# perfbench/ is a nested module, so the root ./... never builds it: vet
+# and test it on its own so a library change that breaks the benchmark
+# harness fails here rather than in the post-merge benchmark run.
+echo "== perfbench module (vet, test)"
+(cd perfbench && go vet ./... && go test ./...) || fail "perfbench module"
+
 if [ "${CHECK_SKIP_FAULTS:-0}" != "1" ]; then
 	echo "== crash-point sweep (exhaustive, -race)"
 	FAULTS_FULL=1 go test -race -run 'TestCrashSweep' . || fail "crash-point sweep"

@@ -25,11 +25,13 @@ import (
 // DialServer returns the matching network client. See internal/wire's
 // package documentation for the frame format and session flow.
 type (
-	// RemoteClient is the network backup client: it chunks and
-	// convergently encrypts locally, negotiates fingerprints with the
-	// server, uploads only the misses, and restores over the same
-	// connection. One RemoteClient serves one tenant session; run one per
-	// goroutine for concurrency.
+	// RemoteClient is the network backup client: it runs the in-process
+	// backup pipeline (chunk and convergently encrypt locally) into a wire
+	// sink that negotiates fingerprints with the server and uploads only
+	// the misses, and it restores over the same connection. One
+	// RemoteClient serves one tenant session; run one per goroutine for
+	// concurrency. As with the in-process Backup, one in-flight read of
+	// the source may outlive an error return of Backup.
 	RemoteClient = server.Client
 	// RemoteClientConfig configures DialServer (tenant, token, chunking,
 	// worker fan-out).

@@ -650,54 +650,84 @@ func TestServerSealBatchingUnderWindow(t *testing.T) {
 // same bytes produces — the server-side sealing deviation is invisible
 // to OpenRepository and Restore.
 func TestRecipeEntriesMatchRemote(t *testing.T) {
-	var key Key
-	copy(key[:], "recipe parity key")
-	repoA, err := CreateRepository("", WithRepositoryKey(key))
-	if err != nil {
-		t.Fatal(err)
+	gear := DefaultChunkingParams()
+	gear.Algorithm = AlgoGear
+	cases := []struct {
+		name   string
+		size   int
+		dial   RemoteClientConfig
+		server ServerConfig
+		local  []RepositoryOption
+	}{
+		{name: "default", size: 3 << 20, dial: RemoteClientConfig{Tenant: "x"}},
+		{
+			name:  "gear-2-chunk-workers",
+			size:  3 << 20,
+			dial:  RemoteClientConfig{Tenant: "x", Chunking: gear, ChunkWorkers: 2},
+			local: []RepositoryOption{WithChunking(gear), WithChunkWorkers(2)},
+		},
+		{
+			// 100 does not divide the pipeline's 1024-chunk upload window,
+			// and the stream spans more than one such window, so the wire
+			// sink splits windows at both kinds of boundary.
+			name:   "window-100-inflight-1",
+			size:   10 << 20,
+			dial:   RemoteClientConfig{Tenant: "x"},
+			server: ServerConfig{WindowChunks: 100, MaxInflight: 1},
+		},
 	}
-	defer repoA.Close()
-	repoB, err := CreateRepository("", WithRepositoryKey(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repoB.Close()
-	_, addr := startRepoServer(t, repoA, ServerConfig{})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var key Key
+			copy(key[:], "recipe parity key")
+			repoA, err := CreateRepository("", WithRepositoryKey(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer repoA.Close()
+			repoB, err := CreateRepository("", append([]RepositoryOption{WithRepositoryKey(key)}, tc.local...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer repoB.Close()
+			_, addr := startRepoServer(t, repoA, tc.server)
 
-	data := repoData(55, 3<<20)
-	c, err := DialServer(addr, RemoteClientConfig{Tenant: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	if _, err := c.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repoB.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
+			data := repoData(55, tc.size)
+			c, err := DialServer(addr, tc.dial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			if _, err := c.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := repoB.Backup(ctx, "snap", bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
 
-	open := func(r *Repository, name string) *mle.Recipe {
-		t.Helper()
-		rec, ok := r.catalog.Get(name)
-		if !ok {
-			t.Fatalf("snapshot %q missing", name)
-		}
-		recipe, err := mle.OpenRecipe(rec.SealedRecipe, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recipe
-	}
-	remote := open(repoA, "x/snap")
-	local := open(repoB, "snap")
-	if len(remote.Entries) != len(local.Entries) {
-		t.Fatalf("remote recipe has %d entries, local %d", len(remote.Entries), len(local.Entries))
-	}
-	for i := range remote.Entries {
-		if remote.Entries[i] != local.Entries[i] {
-			t.Fatalf("entry %d: remote %+v, local %+v", i, remote.Entries[i], local.Entries[i])
-		}
+			open := func(r *Repository, name string) *mle.Recipe {
+				t.Helper()
+				rec, ok := r.catalog.Get(name)
+				if !ok {
+					t.Fatalf("snapshot %q missing", name)
+				}
+				recipe, err := mle.OpenRecipe(rec.SealedRecipe, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return recipe
+			}
+			remote := open(repoA, "x/snap")
+			local := open(repoB, "snap")
+			if len(remote.Entries) != len(local.Entries) {
+				t.Fatalf("remote recipe has %d entries, local %d", len(remote.Entries), len(local.Entries))
+			}
+			for i := range remote.Entries {
+				if remote.Entries[i] != local.Entries[i] {
+					t.Fatalf("entry %d: remote %+v, local %+v", i, remote.Entries[i], local.Entries[i])
+				}
+			}
+		})
 	}
 }
