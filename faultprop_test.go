@@ -13,17 +13,18 @@ import (
 	"freqdedup/internal/vfs"
 )
 
-// countingFS wraps a vfs.FS and counts Sync calls per file base name, so
-// a test can learn deterministically how many syncs a setup phase costs
-// and arm a fault at exactly the next one.
+// countingFS wraps a vfs.FS and counts Sync and write calls per file base
+// name, so a test can learn deterministically how many syncs or writes a
+// setup phase costs and arm a fault at exactly the next one.
 type countingFS struct {
 	vfs.FS
-	mu    sync.Mutex
-	syncs map[string]int
+	mu     sync.Mutex
+	syncs  map[string]int
+	writes map[string]int
 }
 
 func newCountingFS(inner vfs.FS) *countingFS {
-	return &countingFS{FS: inner, syncs: make(map[string]int)}
+	return &countingFS{FS: inner, syncs: make(map[string]int), writes: make(map[string]int)}
 }
 
 func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
@@ -48,11 +49,25 @@ func (c *countingFS) synced(name string) {
 	c.mu.Unlock()
 }
 
+func (c *countingFS) wrote(name string) {
+	c.mu.Lock()
+	c.writes[filepath.Base(name)]++
+	c.mu.Unlock()
+}
+
 func (c *countingFS) count(pattern string) int {
+	return c.countIn(c.syncs, pattern)
+}
+
+func (c *countingFS) countWrites(pattern string) int {
+	return c.countIn(c.writes, pattern)
+}
+
+func (c *countingFS) countIn(counts map[string]int, pattern string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for base, k := range c.syncs {
+	for base, k := range counts {
 		if ok, _ := filepath.Match(pattern, base); ok {
 			n += k
 		}
@@ -69,6 +84,16 @@ type countingFile struct {
 func (f countingFile) Sync() error {
 	f.fs.synced(f.name)
 	return f.File.Sync()
+}
+
+func (f countingFile) Write(p []byte) (int, error) {
+	f.fs.wrote(f.name)
+	return f.File.Write(p)
+}
+
+func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
+	f.fs.wrote(f.name)
+	return f.File.WriteAt(p, off)
 }
 
 // TestBackupNotAckedOnSyncFailure is the fsync-propagation audit: for
@@ -161,6 +186,104 @@ func TestBackupNotAckedOnSyncFailure(t *testing.T) {
 				t.Fatalf("retried backup after one-shot sync fault: %v", err)
 			}
 			mustRestore(t, repo2, "snap-retry", data)
+		})
+	}
+}
+
+// TestTornAppendThenAckedBackup is the torn-write audit beside the
+// fsync one: for each durable format, a write that tears a prefix of its
+// record into the file and then fails must fail the backup, and a later,
+// smaller backup on the same live repository must be acknowledged and
+// survive a reopen. Without the failed append's torn bytes being cut
+// away, the smaller record lands at the same offset and the torn bytes
+// stay behind it, where replay later reads them as mid-file corruption.
+// The shard files discard a failed seal's tail and act as the control.
+func TestTornAppendThenAckedBackup(t *testing.T) {
+	base := repoData(81, 256<<10)
+	big := repoData(82, 1<<20)
+	small := repoData(83, 4<<10)
+	var key Key
+	copy(key[:], "torn write key")
+	opts := func(fs FileSystem) []RepositoryOption {
+		return []RepositoryOption{
+			WithFileSystem(fs), WithRepositoryKey(key),
+			WithShards(2), WithContainerBytes(16 << 10), WithWorkers(1),
+			WithUploadObserver(nil),
+		}
+	}
+	ctx := context.Background()
+	// tear is which of the big backup's writes to the file is torn. The
+	// trace log writes a session's begin record when the backup starts
+	// and its chunks record at commit: the chunks record is the one much
+	// longer than the small backup's records.
+	cases := []struct {
+		pat  string
+		tear int
+	}{
+		{"shard-*.fdc", 1},
+		{"catalog.fdr", 1},
+		{"traces.fdt", 2},
+	}
+
+	// Calibration pass: how many writes does each file see before the
+	// big backup, and does the big backup write each file often enough?
+	calib := newCountingFS(faultio.NewMemFS())
+	repo, err := CreateRepository("repo", opts(calib)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.Backup(ctx, "base", bytes.NewReader(base)); err != nil {
+		t.Fatalf("calibration base backup: %v", err)
+	}
+	pre := map[string]int{}
+	for _, tc := range cases {
+		pre[tc.pat] = calib.countWrites(tc.pat)
+	}
+	if _, err := repo.Backup(ctx, "big", bytes.NewReader(big)); err != nil {
+		t.Fatalf("calibration big backup: %v", err)
+	}
+	for _, tc := range cases {
+		if calib.countWrites(tc.pat) < pre[tc.pat]+tc.tear {
+			t.Fatalf("calibration: big backup wrote %s fewer than %d times", tc.pat, tc.tear)
+		}
+	}
+	repo.Close()
+
+	for _, tc := range cases {
+		t.Run(tc.pat, func(t *testing.T) {
+			m := faultio.NewMemFSPlan(faultio.Plan{Seed: 81, Rules: []faultio.Rule{{
+				Op: faultio.OpWrite, PathGlob: tc.pat, Nth: pre[tc.pat] + tc.tear,
+				Fault: faultio.Fault{ShortWrite: true},
+			}}})
+			repo, err := CreateRepository("repo", opts(m)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := repo.Backup(ctx, "base", bytes.NewReader(base)); err != nil {
+				t.Fatalf("base backup: %v", err)
+			}
+			if _, err := repo.Backup(ctx, "big", bytes.NewReader(big)); !errors.Is(err, faultio.ErrInjected) {
+				t.Fatalf("backup with torn %s write: err = %v, want injected write failure", tc.pat, err)
+			}
+			if _, err := repo.Backup(ctx, "small", bytes.NewReader(small)); err != nil {
+				t.Fatalf("backup after torn %s write: %v", tc.pat, err)
+			}
+			if err := repo.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			reopened, err := OpenRepository("repo", opts(m)...)
+			if err != nil {
+				t.Fatalf("reopen after torn %s write: %v", tc.pat, err)
+			}
+			defer reopened.Close()
+			for _, s := range reopened.Snapshots() {
+				if s.Name == "big" {
+					t.Fatalf("snapshot with a torn %s write survived", tc.pat)
+				}
+			}
+			mustRestore(t, reopened, "base", base)
+			mustRestore(t, reopened, "small", small)
 		})
 	}
 }

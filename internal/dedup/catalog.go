@@ -4,14 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
-	"freqdedup/internal/gcommit"
+	"freqdedup/internal/recordlog"
 	"freqdedup/internal/vfs"
 )
 
@@ -21,16 +18,19 @@ import (
 // chunk as unreferenced — the "GC after reopen reclaims everything"
 // failure the Repository front door exists to fix.
 //
-// The catalog is an append-only log in the same spirit as the `.fdc`
-// container files: a 16-byte file header, then one self-contained record
-// per mutation — a snapshot added (with its sealed recipe and summary
-// metadata) or a snapshot deleted (a tombstone) — each protected by a
-// CRC32 and fsynced before the mutation is acknowledged. Reopening
-// replays the log; a record torn by a mid-append crash is detected and
-// truncated away, so the replayed state is exactly the set of
-// acknowledged mutations. When tombstones accumulate, the catalog is
-// compacted: the live records are written to a fresh file that is fsynced
-// and atomically renamed over the old one.
+// The catalog is a record log (internal/recordlog, which owns the file
+// header, framing, torn-tail replay, salvage re-sync and group commit)
+// with one record per mutation, fsynced before the mutation is
+// acknowledged:
+//
+//	add    (kind 1): w2 = nameLen, w3 = payloadLen, body = name | payload
+//	                 payload = created-at i64 | logical bytes u64 |
+//	                           chunk count u32 | reserved u32 | sealed recipe
+//	delete (kind 2): w2 = nameLen, w3 = 0, body = name (a tombstone)
+//
+// Replaying the log rebuilds the live snapshots. When tombstones
+// accumulate, the catalog is compacted: the live add records, in name
+// order, are rewritten into a fresh file that replaces the old one.
 
 // CatalogName is the catalog's file name within a repository directory.
 const CatalogName = "catalog.fdr"
@@ -49,15 +49,6 @@ var ErrSnapshotNotFound = errors.New("dedup: snapshot not found")
 
 // Catalog on-disk layout constants.
 const (
-	catMagic     = 0x46445243 // "FDRC": freqdedup recipe catalog
-	catVersion   = 1
-	catHeaderLen = 16 // magic + version + 2 reserved, u32 each
-
-	catRecMagic = 0x46445231 // "FDR1": one catalog record
-	// catRecHeaderLen is magic + kind + nameLen + payloadLen, u32 each.
-	catRecHeaderLen = 16
-	catRecTrailer   = 4 // CRC32 over header + name + payload
-
 	catKindAdd    = 1
 	catKindDelete = 2
 
@@ -72,6 +63,19 @@ const (
 	catMaxName    = 4 << 10
 	catMaxPayload = 1 << 30
 )
+
+// catFormat is the catalog's record-log format.
+var catFormat = recordlog.Format{
+	Name:     "dedup: catalog",
+	Magic:    0x46445243, // "FDRC": freqdedup recipe catalog
+	Version:  1,
+	RecMagic: 0x46445231, // "FDR1": one catalog record
+	BodyLen: func(nameLen, payloadLen uint32) (int64, bool) {
+		ok := nameLen > 0 && nameLen <= catMaxName && payloadLen <= catMaxPayload
+		return int64(nameLen) + int64(payloadLen), ok
+	},
+	Corrupt: ErrCatalogCorrupt,
+}
 
 // SnapshotRecord is one live snapshot in the catalog: the sealed recipe
 // that restores it plus the summary metadata a listing needs without
@@ -94,58 +98,25 @@ type SnapshotRecord struct {
 // Catalog is a durable snapshot catalog. The zero value is not usable;
 // construct with CreateCatalog, OpenCatalog, or NewMemCatalog. A Catalog
 // is safe for concurrent use.
+//
+// Mutations append their record under mu, apply it to live tentatively,
+// and run the group commit with mu released, so concurrent mutations
+// share fsyncs; a failed commit rolls the mutation back.
 type Catalog struct {
 	mu         sync.Mutex
-	fsys       vfs.FS   // nil for a memory-only catalog
-	f          vfs.File // nil for a memory-only catalog
-	path       string
+	log        *recordlog.Log // nil for a memory-only catalog
 	closed     bool
-	size       int64
 	live       map[string]SnapshotRecord
 	tombstones int // delete records in the file not yet compacted away
-	scratch    []byte
 	salvage    CatalogSalvageStats
-
-	// Group commit: mutations append their record under c.mu, then release
-	// it and call gc.Commit with their append's sequence number; concurrent
-	// mutations share fsyncs. syncMu orders the committer's fsync against
-	// the file-handle swaps in compactLocked and Close (lock order: c.mu
-	// before syncMu; the fsync itself holds only syncMu).
-	syncMu  sync.Mutex
-	gc      *gcommit.Committer
-	seq     int64        // last assigned append sequence
-	pending []catPending // appended records not yet covered by a sync
-}
-
-// catPending maps an append sequence to the file offset its record starts
-// at, so a failed commit can truncate the file back to the durable
-// boundary.
-type catPending struct {
-	seq int64
-	off int64
-}
-
-// initCommitter wires the catalog's group committer. Catalog fsync
-// failures are sticky: the file tail past the last successful sync is in
-// an unknown durable state, so the instance refuses further appends and
-// the caller reopens (replay truncates any torn tail).
-func (c *Catalog) initCommitter() {
-	c.gc = gcommit.New(func() error {
-		c.syncMu.Lock()
-		defer c.syncMu.Unlock()
-		if c.f == nil {
-			return errors.New("dedup: catalog is closed")
-		}
-		return c.f.Sync()
-	}, true)
 }
 
 // SetGroupCommitWindow sets the straggler window for catalog group
 // commit: a leader delays its fsync this long so concurrent mutations can
 // join the round. Zero (the default) syncs immediately.
 func (c *Catalog) SetGroupCommitWindow(d time.Duration) {
-	if c.gc != nil {
-		c.gc.SetWindow(d)
+	if c.log != nil {
+		c.log.SetGroupCommitWindow(d)
 	}
 }
 
@@ -153,10 +124,10 @@ func (c *Catalog) SetGroupCommitWindow(d time.Duration) {
 // concurrent mutations this is less than the mutation count, the batching
 // ratio group commit exists to win.
 func (c *Catalog) CommitSyncs() int64 {
-	if c.gc == nil {
+	if c.log == nil {
 		return 0
 	}
-	return c.gc.Syncs()
+	return c.log.CommitSyncs()
 }
 
 // NewMemCatalog returns a catalog kept only in memory — the
@@ -174,36 +145,11 @@ func CreateCatalog(path string) (*Catalog, error) {
 
 // CreateCatalogFS is CreateCatalog against an explicit filesystem.
 func CreateCatalogFS(fsys vfs.FS, path string) (*Catalog, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	log, err := recordlog.Create(fsys, path, &catFormat)
 	if err != nil {
-		return nil, fmt.Errorf("dedup: create catalog: %w", err)
-	}
-	var hdr [catHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], catMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], catVersion)
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		fsys.Remove(path)
-		return nil, fmt.Errorf("dedup: write catalog header: %w", err)
-	}
-	if err := vfs.SyncDir(fsys, filepath.Dir(path)); err != nil {
-		f.Close()
-		fsys.Remove(path)
 		return nil, err
 	}
-	c := &Catalog{
-		fsys: fsys,
-		f:    f,
-		path: path,
-		size: catHeaderLen,
-		live: make(map[string]SnapshotRecord),
-	}
-	c.initCommitter()
-	return c, nil
+	return &Catalog{log: log, live: make(map[string]SnapshotRecord)}, nil
 }
 
 // OpenCatalog opens an existing catalog file and replays its records. A
@@ -217,16 +163,12 @@ func OpenCatalog(path string) (*Catalog, error) {
 
 // OpenCatalogFS is OpenCatalog against an explicit filesystem.
 func OpenCatalogFS(fsys vfs.FS, path string) (*Catalog, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
+	c := &Catalog{live: make(map[string]SnapshotRecord)}
+	log, _, err := recordlog.Open(fsys, path, &catFormat, recordlog.Owner, c.replayFunc(path, false))
 	if err != nil {
-		return nil, fmt.Errorf("dedup: open catalog: %w", err)
-	}
-	c := &Catalog{fsys: fsys, f: f, path: path, live: make(map[string]SnapshotRecord)}
-	c.initCommitter()
-	if err := c.replay(false); err != nil {
-		f.Close()
 		return nil, err
 	}
+	c.log = log
 	return c, nil
 }
 
@@ -253,129 +195,42 @@ func (s CatalogSalvageStats) Damaged() bool {
 // immediately compacted, so the on-disk file is clean again and appends
 // are safe.
 func OpenCatalogSalvage(fsys vfs.FS, path string) (*Catalog, CatalogSalvageStats, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
+	c := &Catalog{live: make(map[string]SnapshotRecord)}
+	log, st, err := recordlog.Open(fsys, path, &catFormat, recordlog.Salvage, c.replayFunc(path, true))
+	c.salvage.RecordsDropped += st.RecordsDropped
+	c.salvage.BytesSkipped += st.BytesSkipped
 	if err != nil {
-		return nil, CatalogSalvageStats{}, fmt.Errorf("dedup: open catalog: %w", err)
-	}
-	c := &Catalog{fsys: fsys, f: f, path: path, live: make(map[string]SnapshotRecord)}
-	c.initCommitter()
-	if err := c.replay(true); err != nil {
-		f.Close()
 		return nil, c.salvage, err
 	}
+	c.log = log
 	if c.salvage.Damaged() {
 		if err := c.compactLocked(); err != nil {
-			f.Close()
+			log.Close()
 			return nil, c.salvage, fmt.Errorf("dedup: rewrite salvaged catalog: %w", err)
 		}
 	}
 	return c, c.salvage, nil
 }
 
-// replay scans the catalog file, rebuilding the live-snapshot map and
-// truncating a torn tail. In salvage mode, damaged mid-file records are
-// skipped and counted instead of failing the open.
-func (c *Catalog) replay(salvage bool) error {
-	st, err := c.f.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	if size < catHeaderLen {
-		return fmt.Errorf("%w: %s shorter than its header", ErrCatalogCorrupt, c.path)
-	}
-	var hdr [catHeaderLen]byte
-	if _, err := c.f.ReadAt(hdr[:], 0); err != nil {
-		return err
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != catMagic {
-		return fmt.Errorf("%w: %s has bad magic %#x", ErrCatalogCorrupt, c.path, m)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != catVersion {
-		return fmt.Errorf("%w: %s has unsupported version %d", ErrCatalogCorrupt, c.path, v)
-	}
-
-	pos := int64(catHeaderLen)
-	var rec [catRecHeaderLen]byte
-	// damaged re-synchronizes a salvage replay on the next record whose
-	// header parses and whose checksum verifies, counting what it skips.
-	damaged := func(pos int64) (int64, bool) {
-		next, ok := resyncCatalogRecord(c.f, pos+1, size)
-		if !ok {
-			c.salvage.BytesSkipped += size - pos
-			return size, false
-		}
-		c.salvage.RecordsDropped++
-		c.salvage.BytesSkipped += next - pos
-		return next, true
-	}
-	for pos < size {
-		if pos+catRecHeaderLen > size {
-			break // torn tail: header itself incomplete
-		}
-		if _, err := c.f.ReadAt(rec[:], pos); err != nil {
-			return err
-		}
-		if m := binary.LittleEndian.Uint32(rec[0:]); m != catRecMagic {
-			if salvage {
-				pos, _ = damaged(pos)
-				continue
-			}
-			return fmt.Errorf("%w: %s: bad record magic %#x at offset %d", ErrCatalogCorrupt, c.path, m, pos)
-		}
-		kind := binary.LittleEndian.Uint32(rec[4:])
-		nameLen := int64(binary.LittleEndian.Uint32(rec[8:]))
-		payloadLen := int64(binary.LittleEndian.Uint32(rec[12:]))
-		if nameLen == 0 || nameLen > catMaxName || payloadLen > catMaxPayload {
-			if salvage {
-				pos, _ = damaged(pos)
-				continue
-			}
-			return fmt.Errorf("%w: %s: absurd record lengths (%d, %d) at offset %d",
-				ErrCatalogCorrupt, c.path, nameLen, payloadLen, pos)
-		}
-		end := pos + catRecHeaderLen + nameLen + payloadLen + catRecTrailer
-		if end > size {
-			if salvage {
-				pos, _ = damaged(pos)
-				continue
-			}
-			break // torn tail: body incomplete
-		}
-		body := make([]byte, nameLen+payloadLen+catRecTrailer)
-		if _, err := c.f.ReadAt(body, pos+catRecHeaderLen); err != nil {
-			return err
-		}
-		crc := crc32.ChecksumIEEE(rec[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body[:nameLen+payloadLen])
-		if stored := binary.LittleEndian.Uint32(body[nameLen+payloadLen:]); crc != stored {
-			if end == size && !salvage {
-				// The final record's bytes are all present but the
-				// checksum fails: a crash caught the append mid-write.
-				// Discard it like any other torn tail.
-				break
-			}
-			if salvage {
-				pos, _ = damaged(pos)
-				continue
-			}
-			return fmt.Errorf("%w: %s: record checksum mismatch at offset %d", ErrCatalogCorrupt, c.path, pos)
-		}
-		name := string(body[:nameLen])
-		payload := body[nameLen : nameLen+payloadLen]
-		switch kind {
+// replayFunc returns the record visitor that rebuilds the live-snapshot
+// map. In salvage mode, records whose content does not fit the live state
+// are skipped and counted instead of failing the open.
+func (c *Catalog) replayFunc(path string, salvage bool) func(recordlog.Record) error {
+	return func(r recordlog.Record) error {
+		name := string(r.Body[:r.W2])
+		payload := r.Body[r.W2:]
+		switch r.Kind {
 		case catKindAdd:
-			if payloadLen < catMetaLen {
+			if len(payload) < catMetaLen {
 				if salvage {
 					c.salvage.RecordsDropped++
-					pos = end
-					continue
+					return nil
 				}
-				return fmt.Errorf("%w: %s: add record for %q has a short payload", ErrCatalogCorrupt, c.path, name)
+				return fmt.Errorf("%w: %s: add record for %q has a short payload", ErrCatalogCorrupt, path, name)
 			}
 			if _, ok := c.live[name]; ok {
 				if !salvage {
-					return fmt.Errorf("%w: %s: duplicate add for live snapshot %q", ErrCatalogCorrupt, c.path, name)
+					return fmt.Errorf("%w: %s: duplicate add for live snapshot %q", ErrCatalogCorrupt, path, name)
 				}
 				// A duplicate add means the tombstone between the two was
 				// lost to damage: the later record is the acknowledged
@@ -392,170 +247,35 @@ func (c *Catalog) replay(salvage bool) error {
 		case catKindDelete:
 			if _, ok := c.live[name]; !ok {
 				if salvage {
-					// The add this tombstone pairs with was lost; the
-					// skip was already counted when it was dropped.
-					pos = end
-					continue
+					// The add this tombstone pairs with was lost. Count
+					// the tombstone too: the salvage must rewrite the file,
+					// which a normal open rejects while it holds it.
+					c.salvage.RecordsDropped++
+					return nil
 				}
-				return fmt.Errorf("%w: %s: tombstone for unknown snapshot %q", ErrCatalogCorrupt, c.path, name)
+				return fmt.Errorf("%w: %s: tombstone for unknown snapshot %q", ErrCatalogCorrupt, path, name)
 			}
 			delete(c.live, name)
 			c.tombstones++
 		default:
 			if salvage {
 				c.salvage.RecordsDropped++
-				pos = end
-				continue
+				return nil
 			}
-			return fmt.Errorf("%w: %s: unknown record kind %d at offset %d", ErrCatalogCorrupt, c.path, kind, pos)
+			return fmt.Errorf("%w: %s: unknown record kind %d at offset %d", ErrCatalogCorrupt, path, r.Kind, r.Off)
 		}
-		pos = end
-	}
-	if salvage && pos < size {
-		// The skipped tail is rewritten away by the compaction that
-		// follows a damaged salvage open; nothing to truncate here.
-		c.salvage.BytesSkipped += size - pos
-		c.size = pos
 		return nil
 	}
-	if pos < size {
-		// Discard the torn tail so future appends start at a record
-		// boundary.
-		if err := c.f.Truncate(pos); err != nil {
-			return fmt.Errorf("dedup: truncate torn catalog tail: %w", err)
-		}
-		if err := c.f.Sync(); err != nil {
-			return err
-		}
-	}
-	c.size = pos
-	return nil
 }
 
-// resyncCatalogRecord scans forward from pos for the next catalog record
-// that proves itself: magic and plausible lengths, and a verifying CRC —
-// the chain is already broken, so a merely plausible header could be
-// recipe bytes that happen to contain the magic.
-func resyncCatalogRecord(f vfs.File, pos, size int64) (int64, bool) {
-	var hdr [catRecHeaderLen]byte
-	for ; pos+catRecHeaderLen <= size; pos++ {
-		if _, err := f.ReadAt(hdr[:], pos); err != nil {
-			return 0, false
-		}
-		if binary.LittleEndian.Uint32(hdr[0:]) != catRecMagic {
-			continue
-		}
-		nameLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
-		payloadLen := int64(binary.LittleEndian.Uint32(hdr[12:]))
-		if nameLen == 0 || nameLen > catMaxName || payloadLen > catMaxPayload {
-			continue
-		}
-		end := pos + catRecHeaderLen + nameLen + payloadLen + catRecTrailer
-		if end > size {
-			continue
-		}
-		body := make([]byte, nameLen+payloadLen+catRecTrailer)
-		if _, err := f.ReadAt(body, pos+catRecHeaderLen); err != nil {
-			continue
-		}
-		crc := crc32.ChecksumIEEE(hdr[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body[:nameLen+payloadLen])
-		if crc != binary.LittleEndian.Uint32(body[nameLen+payloadLen:]) {
-			continue
-		}
-		return pos, true
-	}
-	return 0, false
-}
-
-// buildRecord serializes one record into c.scratch.
-func (c *Catalog) buildRecord(kind uint32, name string, meta []byte, sealed []byte) []byte {
-	payloadLen := len(meta) + len(sealed)
-	n := catRecHeaderLen + len(name) + payloadLen + catRecTrailer
-	if cap(c.scratch) < n {
-		c.scratch = make([]byte, n)
-	}
-	buf := c.scratch[:n]
-	binary.LittleEndian.PutUint32(buf[0:], catRecMagic)
-	binary.LittleEndian.PutUint32(buf[4:], kind)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(name)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(payloadLen))
-	off := catRecHeaderLen
-	off += copy(buf[off:], name)
-	off += copy(buf[off:], meta)
-	off += copy(buf[off:], sealed)
-	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return buf
-}
-
-// appendRecordLocked writes one record at the current tail and assigns it
-// the next commit sequence, without syncing — durability comes from the
-// group commit that follows. Called with c.mu held.
-func (c *Catalog) appendRecordLocked(buf []byte) (int64, error) {
-	if err := c.gc.Err(); err != nil {
-		return 0, fmt.Errorf("dedup: catalog poisoned by earlier sync failure: %w", err)
-	}
-	off := c.size
-	if _, err := c.f.WriteAt(buf, off); err != nil {
-		// The record never landed; the tail state is unchanged, so no
-		// truncation is needed — just report the failure.
-		return 0, fmt.Errorf("dedup: append catalog record: %w", err)
-	}
-	c.size = off + int64(len(buf))
-	c.seq++
-	c.pending = append(c.pending, catPending{seq: c.seq, off: off})
-	return c.seq, nil
-}
-
-// commitRecord runs the group commit for an appended record. Called with
-// c.mu released (the committer blocks; holding c.mu would serialize the
-// batching it exists to provide). On success the covered pending entries
-// are pruned; on failure the file is truncated back to the durable
-// boundary so a later successful append does not bury unsynced garbage
-// mid-file.
-func (c *Catalog) commitRecord(seq int64) error {
-	err := c.gc.Commit(seq)
-	d := c.gc.Durable()
-	c.mu.Lock()
-	if err != nil {
-		c.truncateToDurableLocked(d)
-	} else {
-		c.prunePendingLocked(d)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("dedup: sync catalog: %w", err)
-	}
-	return nil
-}
-
-// prunePendingLocked drops pending entries covered by durable sequence d.
-func (c *Catalog) prunePendingLocked(d int64) {
-	i := 0
-	for i < len(c.pending) && c.pending[i].seq <= d {
-		i++
-	}
-	if i > 0 {
-		c.pending = append(c.pending[:0], c.pending[i:]...)
-	}
-}
-
-// truncateToDurableLocked discards every appended-but-unsynced record
-// after a failed commit, so the file tail holds only acknowledged
-// mutations. Idempotent: concurrent failed commits all compute the same
-// durable boundary.
-func (c *Catalog) truncateToDurableLocked(d int64) {
-	c.prunePendingLocked(d)
-	boundary := c.size
-	if len(c.pending) > 0 {
-		boundary = c.pending[0].off
-	}
-	c.pending = c.pending[:0]
-	if boundary < c.size {
-		c.size = boundary
-	}
-	if c.f != nil && c.f.Truncate(c.size) == nil {
-		_ = c.f.Sync()
+// addFrame is the add record for rec.
+func addFrame(rec SnapshotRecord) recordlog.Frame {
+	meta := encodeMeta(rec)
+	return recordlog.Frame{
+		Kind: catKindAdd,
+		W2:   uint32(len(rec.Name)),
+		W3:   uint32(len(meta) + len(rec.SealedRecipe)),
+		Body: [][]byte{[]byte(rec.Name), meta, rec.SealedRecipe},
 	}
 }
 
@@ -592,20 +312,19 @@ func (c *Catalog) Add(rec SnapshotRecord) error {
 	}
 	stored := rec
 	stored.SealedRecipe = append([]byte(nil), rec.SealedRecipe...)
-	if c.f == nil {
+	if c.log == nil {
 		c.live[rec.Name] = stored
 		c.mu.Unlock()
 		return nil
 	}
-	buf := c.buildRecord(catKindAdd, rec.Name, encodeMeta(rec), rec.SealedRecipe)
-	seq, err := c.appendRecordLocked(buf)
+	_, seq, err := c.log.Append(addFrame(rec))
 	if err != nil {
 		c.mu.Unlock()
 		return err
 	}
 	c.live[rec.Name] = stored // tentative until the commit covers it
 	c.mu.Unlock()
-	if err := c.commitRecord(seq); err != nil {
+	if err := c.log.Commit(seq); err != nil {
 		c.mu.Lock()
 		delete(c.live, rec.Name)
 		c.mu.Unlock()
@@ -628,13 +347,15 @@ func (c *Catalog) Delete(name string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrSnapshotNotFound, name)
 	}
-	if c.f == nil {
+	if c.log == nil {
 		delete(c.live, name)
 		c.tombstones++
 		c.mu.Unlock()
 		return nil
 	}
-	seq, err := c.appendRecordLocked(c.buildRecord(catKindDelete, name, nil, nil))
+	_, seq, err := c.log.Append(recordlog.Frame{
+		Kind: catKindDelete, W2: uint32(len(name)), Body: [][]byte{[]byte(name)},
+	})
 	if err != nil {
 		c.mu.Unlock()
 		return err
@@ -642,7 +363,7 @@ func (c *Catalog) Delete(name string) error {
 	delete(c.live, name) // tentative until the commit covers it
 	c.tombstones++
 	c.mu.Unlock()
-	if err := c.commitRecord(seq); err != nil {
+	if err := c.log.Commit(seq); err != nil {
 		c.mu.Lock()
 		c.live[name] = rec
 		c.tombstones--
@@ -650,7 +371,7 @@ func (c *Catalog) Delete(name string) error {
 		return err
 	}
 	c.mu.Lock()
-	if c.f != nil && !c.closed && c.tombstones >= 8 && c.tombstones > len(c.live) {
+	if !c.closed && c.tombstones >= 8 && c.tombstones > len(c.live) {
 		// Compaction is an optimization: the log already replays to the
 		// right state, so a failed compaction only means the log stays
 		// long. Do not fail the delete over it.
@@ -694,7 +415,7 @@ func (c *Catalog) Len() int {
 func (c *Catalog) Compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.log == nil {
 		c.tombstones = 0
 		return nil
 	}
@@ -702,61 +423,20 @@ func (c *Catalog) Compact() error {
 }
 
 func (c *Catalog) compactLocked() error {
-	tmpName := c.path + ".rewrite"
-	tmp, err := c.fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("dedup: compact catalog: %w", err)
-	}
-	abort := func(err error) error {
-		tmp.Close()
-		c.fsys.Remove(tmpName)
-		return err
-	}
-	var hdr [catHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], catMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], catVersion)
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		return abort(err)
-	}
-	size := int64(catHeaderLen)
-	// Deterministic record order keeps compacted catalogs byte-comparable.
+	// Name order keeps compacted catalogs byte-comparable.
 	names := make([]string, 0, len(c.live))
 	for name := range c.live {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		rec := c.live[name]
-		buf := c.buildRecord(catKindAdd, rec.Name, encodeMeta(rec), rec.SealedRecipe)
-		if _, err := tmp.Write(buf); err != nil {
-			return abort(err)
-		}
-		size += int64(len(buf))
+	frames := make([]recordlog.Frame, len(names))
+	for i, name := range names {
+		frames[i] = addFrame(c.live[name])
 	}
-	if err := tmp.Sync(); err != nil {
-		return abort(err)
+	if err := c.log.Rewrite(frames); err != nil {
+		return err
 	}
-	if err := c.fsys.Rename(tmpName, c.path); err != nil {
-		return abort(err)
-	}
-	// The rename is the commit point; the renamed temp handle is the new
-	// catalog file. Swap the handle under syncMu so an in-flight group
-	// commit never fsyncs a closed descriptor. The directory sync
-	// afterwards is best-effort.
-	c.syncMu.Lock()
-	c.f.Close()
-	c.f = tmp
-	c.syncMu.Unlock()
-	c.size = size
 	c.tombstones = 0
-	// The compacted file was synced and renamed: every record appended so
-	// far — including tentative ones awaiting their group commit — is now
-	// durable through the rewrite. Release their waiters without a sync.
-	c.pending = c.pending[:0]
-	if c.gc != nil {
-		c.gc.MarkDurable(c.seq)
-	}
-	_ = vfs.SyncDir(c.fsys, filepath.Dir(c.path))
 	return nil
 }
 
@@ -766,12 +446,8 @@ func (c *Catalog) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	c.syncMu.Lock()
-	err := c.f.Close()
-	c.f = nil
-	c.syncMu.Unlock()
-	return err
+	return c.log.Close()
 }

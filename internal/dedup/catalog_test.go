@@ -24,6 +24,15 @@ func catalogPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), CatalogName)
 }
 
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
 func TestCatalogRoundTrip(t *testing.T) {
 	path := catalogPath(t)
 	c, err := CreateCatalog(path)
@@ -110,11 +119,11 @@ func TestCatalogTornTail(t *testing.T) {
 	if err := c.Add(testRecord("keep", 1)); err != nil {
 		t.Fatal(err)
 	}
-	goodSize := c.size
+	goodSize := fileSize(t, path)
 	if err := c.Add(testRecord("torn", 2)); err != nil {
 		t.Fatal(err)
 	}
-	fullSize := c.size
+	fullSize := fileSize(t, path)
 	c.Close()
 
 	for cut := goodSize + 1; cut < fullSize; cut += (fullSize - goodSize - 2) / 3 {
@@ -164,7 +173,7 @@ func TestCatalogTailChecksumTreatedAsTorn(t *testing.T) {
 	if err := c.Add(testRecord("flipped", 2)); err != nil {
 		t.Fatal(err)
 	}
-	fullSize := c.size
+	fullSize := fileSize(t, path)
 	c.Close()
 
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -198,7 +207,7 @@ func TestCatalogMidFileCorruptionDetected(t *testing.T) {
 	if err := c.Add(testRecord("first", 1)); err != nil {
 		t.Fatal(err)
 	}
-	firstEnd := c.size
+	firstEnd := fileSize(t, path)
 	if err := c.Add(testRecord("second", 2)); err != nil {
 		t.Fatal(err)
 	}

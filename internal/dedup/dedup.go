@@ -553,7 +553,7 @@ func (c *Client) backupPlanned(ctx context.Context, cdc chunker.Chunker) (*mle.R
 			order[i] = s.Start + i
 		}
 		if c.cfg.Scramble {
-			order = scrambleOrder(order, c.rng)
+			order = segment.Scramble(order, c.rng)
 		}
 		for _, idx := range order {
 			plan = append(plan, planEntry{chunkIdx: idx, segKey: segKey})
@@ -726,22 +726,4 @@ func (c *Client) encryptOne(job encJob, res *uploadResult) error {
 	ct := mle.EncryptDeterministic(key, ch.Data)
 	*res = uploadResult{ct: ct, cfp: fphash.FromBytes(ct), key: key}
 	return nil
-}
-
-// scrambleOrder applies Algorithm 5's front/back shuffle to a slice of
-// indices.
-func scrambleOrder(in []int, rng *rand.Rand) []int {
-	n := len(in)
-	buf := make([]int, 2*n)
-	front, back := n, n
-	for _, v := range in {
-		if rng.Intn(2) == 1 {
-			front--
-			buf[front] = v
-		} else {
-			buf[back] = v
-			back++
-		}
-	}
-	return buf[front:back]
 }

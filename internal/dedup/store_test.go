@@ -256,7 +256,7 @@ func refBackup(t *testing.T, s *refStore, cfg Config, data []byte, rng *rand.Ran
 			order[i] = sg.Start + i
 		}
 		if cfg.Scramble {
-			order = scrambleOrder(order, rng)
+			order = segment.Scramble(order, rng)
 		}
 		for _, idx := range order {
 			ch := chunks[idx]

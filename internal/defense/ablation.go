@@ -59,7 +59,7 @@ func EncryptScrambleOnly(b *trace.Backup, opt Options) (Encrypted, error) {
 	}
 	for _, s := range segs {
 		orig := b.Chunks[s.Start:s.End]
-		for _, c := range scramble(orig, rng) {
+		for _, c := range segment.Scramble(orig, rng) {
 			cfp := cfpOf(c.FP)
 			out.Chunks = append(out.Chunks, trace.ChunkRef{FP: cfp, Size: c.Size})
 			truth[cfp] = c.FP

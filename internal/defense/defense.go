@@ -127,7 +127,7 @@ func EncryptMinHash(b *trace.Backup, opt Options) (Encrypted, error) {
 		orig := b.Chunks[s.Start:s.End]
 		seg := orig
 		if opt.Scramble {
-			seg = scramble(seg, rng)
+			seg = segment.Scramble(seg, rng)
 		}
 		// The segment minimum is invariant under scrambling, so computing
 		// it after scrambling matches Algorithm 4 applied to the scrambled
@@ -145,26 +145,6 @@ func EncryptMinHash(b *trace.Backup, opt Options) (Encrypted, error) {
 		}
 	}
 	return Encrypted{Backup: out, Truth: truth, RecipeOrder: recipe}, nil
-}
-
-// scramble implements Algorithm 5 on one segment: each chunk is appended
-// to either the front or the back of the output with equal probability.
-func scramble(seg []trace.ChunkRef, rng *rand.Rand) []trace.ChunkRef {
-	// Build in a deque laid out in a slice: front grows left from mid,
-	// back grows right.
-	n := len(seg)
-	buf := make([]trace.ChunkRef, 2*n)
-	front, back := n, n // [front, back) holds the current S'
-	for _, c := range seg {
-		if rng.Intn(2) == 1 {
-			front--
-			buf[front] = c
-		} else {
-			buf[back] = c
-			back++
-		}
-	}
-	return buf[front:back]
 }
 
 // deriveCipherFP derives the ciphertext fingerprint for a plaintext chunk

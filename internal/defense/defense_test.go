@@ -6,6 +6,7 @@ import (
 
 	"freqdedup/internal/core"
 	"freqdedup/internal/fphash"
+	"freqdedup/internal/segment"
 	"freqdedup/internal/trace"
 )
 
@@ -194,7 +195,7 @@ func TestScrambleDeque(t *testing.T) {
 	for i := range seg {
 		seg[i] = trace.ChunkRef{FP: fphash.FromUint64(uint64(i + 1)), Size: 1}
 	}
-	out := scramble(seg, rng)
+	out := segment.Scramble(seg, rng)
 	if len(out) != len(seg) {
 		t.Fatal("scramble changed length")
 	}

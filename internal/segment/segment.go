@@ -13,6 +13,7 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"freqdedup/internal/trace"
 )
@@ -122,4 +123,26 @@ func MinFingerprint(chunks []trace.ChunkRef, s Segment) trace.ChunkRef {
 		}
 	}
 	return min
+}
+
+// Scramble implements Algorithm 5 on one segment: each element, in input
+// order, goes to the front or the back of the output with equal
+// probability (one rng.Intn(2) draw per element; 1 means front). It
+// returns a new slice and leaves seg unchanged.
+func Scramble[T any](seg []T, rng *rand.Rand) []T {
+	// A deque laid out in one slice: the front grows left from the
+	// middle, the back grows right.
+	n := len(seg)
+	buf := make([]T, 2*n)
+	front, back := n, n // [front, back) holds the output so far
+	for _, v := range seg {
+		if rng.Intn(2) == 1 {
+			front--
+			buf[front] = v
+		} else {
+			buf[back] = v
+			back++
+		}
+	}
+	return buf[front:back]
 }

@@ -14,25 +14,21 @@
 //
 // # On-disk format
 //
-// The file follows the same append-and-truncate discipline as the .fdc
-// container shards and the .fdr snapshot catalog: a 16-byte file header,
-// then self-contained records
+// The file is a record log (internal/recordlog, which owns the file
+// header, framing, torn-tail replay and group commit) whose header words
+// are a session id and the payload length:
 //
-//	record  = magic u32 | kind u32 | sid u32 | payloadLen u32 | payload | crc32
 //	begin   (kind 1): payload = backup label (UTF-8)
 //	chunks  (kind 2): payload = n x (fingerprint [8] | size u32)
 //	end     (kind 3): payload = total chunk count u64
 //
-// where sid is a per-session id letting concurrently running backups
-// interleave their records in one file. Sessions buffer their windows in
-// memory (spilling unsynced chunks records past a threshold), and the
-// end record is fsynced — one group-committed sync shared by concurrent
-// sessions — before a backup is acknowledged; a trace with no end record
-// (a crashed or
-// failed backup) is ignored on replay, and a record torn by a mid-append
-// crash — an incomplete tail, or a final record whose CRC fails — is
-// truncated away. Structural damage anywhere else is ErrCorrupt: a
-// damaged observation history surfaces as an error, never as a silently
+// The session id lets concurrently running backups interleave their
+// records in one file. Sessions buffer their windows in memory (spilling
+// unsynced chunks records past a threshold), and the end record is
+// fsynced — one group-committed sync shared by concurrent sessions —
+// before a backup is acknowledged. A trace with no end record (a crashed
+// or failed backup) is ignored on replay. Structural damage is ErrCorrupt:
+// a damaged observation history surfaces as an error, never as a silently
 // wrong attack input.
 package tracelog
 
@@ -40,16 +36,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"freqdedup/internal/attack"
 	"freqdedup/internal/fphash"
-	"freqdedup/internal/gcommit"
+	"freqdedup/internal/recordlog"
 	"freqdedup/internal/trace"
 	"freqdedup/internal/vfs"
 )
@@ -63,15 +56,6 @@ var ErrCorrupt = errors.New("tracelog: trace log corrupt")
 
 // On-disk layout constants.
 const (
-	logMagic     = 0x4644544C // "FDTL": freqdedup trace log
-	logVersion   = 1
-	logHeaderLen = 16 // magic + version + 2 reserved, u32 each
-
-	recMagic = 0x46445431 // "FDT1": one trace record
-	// recHeaderLen is magic + kind + sid + payloadLen, u32 each.
-	recHeaderLen  = 16
-	recTrailerLen = 4 // CRC32 over header + payload
-
 	kindBegin  = 1
 	kindChunks = 2
 	kindEnd    = 3
@@ -86,7 +70,19 @@ const (
 	maxPayload = 64 << 20
 )
 
-// extent locates one committed chunks record: the payload offset in the
+// logFormat is the trace log's record-log format.
+var logFormat = recordlog.Format{
+	Name:     "tracelog",
+	Magic:    0x4644544C, // "FDTL": freqdedup trace log
+	Version:  1,
+	RecMagic: 0x46445431, // "FDT1": one trace record
+	BodyLen: func(sid, payloadLen uint32) (int64, bool) {
+		return int64(payloadLen), payloadLen <= maxPayload
+	},
+	Corrupt: ErrCorrupt,
+}
+
+// extent locates one committed chunks record: the record's offset in the
 // file and the number of references it holds.
 type extent struct {
 	off int64
@@ -99,66 +95,30 @@ type extent struct {
 // interleave records under one lock, and committed traces may be read
 // while new ones are appended.
 type Log struct {
-	mu       sync.Mutex
-	fsys     vfs.FS   // nil for a memory-only log
-	f        vfs.File // nil for a memory-only log
-	path     string
-	readOnly bool
-	size     int64
-	nextSID  uint32
-	backups  []*BackupTrace
-	closed   bool
-	scratch  []byte
-
-	// Group commit for the end-record fsync: sessions buffer their chunk
-	// windows in memory (spilling unsynced records past a threshold), so
-	// the only durability barrier is at Commit — and concurrent commits
-	// share it. syncMu orders the committer's fsync against the handle
-	// teardown in Close (lock order: l.mu before syncMu).
-	syncMu  sync.Mutex
-	gc      *gcommit.Committer
-	seq     int64        // last assigned commit sequence
-	pending []logPending // committed-but-unsynced end records
-}
-
-// logPending maps a commit sequence to the file offset of its end record,
-// so a failed sync can truncate back to the durable boundary.
-type logPending struct {
-	seq int64
-	off int64
-}
-
-// initCommitter wires the log's group committer. Trace-log fsync failures
-// are sticky: the tail past the last successful sync is in an unknown
-// durable state, so the instance refuses further appends and the caller
-// reopens (replay truncates any torn tail).
-func (l *Log) initCommitter() {
-	l.gc = gcommit.New(func() error {
-		l.syncMu.Lock()
-		defer l.syncMu.Unlock()
-		if l.f == nil {
-			return errors.New("tracelog: log is closed")
-		}
-		return l.f.Sync()
-	}, true)
+	mu      sync.Mutex
+	rl      *recordlog.Log // nil for a memory-only log
+	path    string
+	nextSID uint32
+	backups []*BackupTrace
+	closed  bool
 }
 
 // SetGroupCommitWindow sets the straggler window for the end-record group
 // commit: a leader delays its fsync this long so concurrent session
 // commits can join the round. Zero (the default) syncs immediately.
 func (l *Log) SetGroupCommitWindow(d time.Duration) {
-	if l.gc != nil {
-		l.gc.SetWindow(d)
+	if l.rl != nil {
+		l.rl.SetGroupCommitWindow(d)
 	}
 }
 
 // CommitSyncs returns how many end-record fsync rounds have run — with
 // concurrent sessions this is less than the session count.
 func (l *Log) CommitSyncs() int64 {
-	if l.gc == nil {
+	if l.rl == nil {
 		return 0
 	}
-	return l.gc.Syncs()
+	return l.rl.CommitSyncs()
 }
 
 // NewMem returns a log kept only in memory — the tap used by in-memory
@@ -174,30 +134,11 @@ func Create(path string) (*Log, error) {
 
 // CreateFS is Create against an explicit filesystem.
 func CreateFS(fsys vfs.FS, path string) (*Log, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	rl, err := recordlog.Create(fsys, path, &logFormat)
 	if err != nil {
-		return nil, fmt.Errorf("tracelog: create: %w", err)
-	}
-	var hdr [logHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], logMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], logVersion)
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		fsys.Remove(path)
-		return nil, fmt.Errorf("tracelog: write header: %w", err)
-	}
-	if err := vfs.SyncDir(fsys, filepath.Dir(path)); err != nil {
-		f.Close()
-		fsys.Remove(path)
 		return nil, err
 	}
-	l := &Log{fsys: fsys, f: f, path: path, size: logHeaderLen}
-	l.initCommitter()
-	return l, nil
+	return &Log{rl: rl, path: path}, nil
 }
 
 // Open opens an existing trace log and replays its records, recovering
@@ -213,17 +154,7 @@ func Open(path string) (*Log, error) {
 
 // OpenFS is Open against an explicit filesystem.
 func OpenFS(fsys vfs.FS, path string) (*Log, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("tracelog: open: %w", err)
-	}
-	l := &Log{fsys: fsys, f: f, path: path}
-	l.initCommitter()
-	if err := l.replay(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
+	return openLog(fsys, path, recordlog.Owner)
 }
 
 // OpenReadOnly opens a trace log for replay without taking ownership:
@@ -238,40 +169,23 @@ func OpenReadOnly(path string) (*Log, error) {
 
 // OpenReadOnlyFS is OpenReadOnly against an explicit filesystem.
 func OpenReadOnlyFS(fsys vfs.FS, path string) (*Log, error) {
-	f, err := fsys.Open(path)
+	return openLog(fsys, path, recordlog.ReadOnly)
+}
+
+func openLog(fsys vfs.FS, path string, mode recordlog.Mode) (*Log, error) {
+	l := &Log{path: path}
+	rl, _, err := recordlog.Open(fsys, path, &logFormat, mode, l.replayFunc())
 	if err != nil {
-		return nil, fmt.Errorf("tracelog: open: %w", err)
-	}
-	l := &Log{fsys: fsys, f: f, path: path, readOnly: true}
-	if err := l.replay(); err != nil {
-		f.Close()
 		return nil, err
 	}
+	l.rl = rl
 	return l, nil
 }
 
-// replay scans the log file, rebuilding the committed-trace list and
-// truncating a torn tail.
-func (l *Log) replay() error {
-	st, err := l.f.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	if size < logHeaderLen {
-		return fmt.Errorf("%w: %s shorter than its header", ErrCorrupt, l.path)
-	}
-	var hdr [logHeaderLen]byte
-	if _, err := l.f.ReadAt(hdr[:], 0); err != nil {
-		return err
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != logMagic {
-		return fmt.Errorf("%w: %s has bad magic %#x", ErrCorrupt, l.path, m)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != logVersion {
-		return fmt.Errorf("%w: %s has unsupported version %d", ErrCorrupt, l.path, v)
-	}
-
+// replayFunc returns the record visitor that rebuilds the committed-trace
+// list. Unterminated sessions stay as dead records: their backups were
+// never acknowledged.
+func (l *Log) replayFunc() func(recordlog.Record) error {
 	// One in-flight (begun, not yet ended) trace per session id.
 	type pending struct {
 		label   string
@@ -279,51 +193,15 @@ func (l *Log) replay() error {
 		count   int64
 	}
 	open := make(map[uint32]*pending)
-
-	pos := int64(logHeaderLen)
-	var rec [recHeaderLen]byte
-	for pos < size {
-		if pos+recHeaderLen > size {
-			break // torn tail: header itself incomplete
-		}
-		if _, err := l.f.ReadAt(rec[:], pos); err != nil {
-			return err
-		}
-		if m := binary.LittleEndian.Uint32(rec[0:]); m != recMagic {
-			return fmt.Errorf("%w: %s: bad record magic %#x at offset %d", ErrCorrupt, l.path, m, pos)
-		}
-		kind := binary.LittleEndian.Uint32(rec[4:])
-		sid := binary.LittleEndian.Uint32(rec[8:])
-		payloadLen := int64(binary.LittleEndian.Uint32(rec[12:]))
-		if payloadLen > maxPayload {
-			return fmt.Errorf("%w: %s: absurd payload length %d at offset %d", ErrCorrupt, l.path, payloadLen, pos)
-		}
-		end := pos + recHeaderLen + payloadLen + recTrailerLen
-		if end > size {
-			break // torn tail: body incomplete
-		}
-		body := make([]byte, payloadLen+recTrailerLen)
-		if _, err := l.f.ReadAt(body, pos+recHeaderLen); err != nil {
-			return err
-		}
-		crc := crc32.ChecksumIEEE(rec[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body[:payloadLen])
-		if stored := binary.LittleEndian.Uint32(body[payloadLen:]); crc != stored {
-			if end == size {
-				// The final record's bytes are all present but the
-				// checksum fails: a crash caught the append mid-write.
-				break
-			}
-			return fmt.Errorf("%w: %s: record checksum mismatch at offset %d", ErrCorrupt, l.path, pos)
-		}
+	return func(r recordlog.Record) error {
+		sid, payload, pos := r.W2, r.Body, r.Off
 		if sid >= l.nextSID {
 			l.nextSID = sid + 1
 		}
-		payload := body[:payloadLen]
-		switch kind {
+		switch r.Kind {
 		case kindBegin:
-			if payloadLen > maxLabel {
-				return fmt.Errorf("%w: %s: absurd label length %d at offset %d", ErrCorrupt, l.path, payloadLen, pos)
+			if len(payload) > maxLabel {
+				return fmt.Errorf("%w: %s: absurd label length %d at offset %d", ErrCorrupt, l.path, len(payload), pos)
 			}
 			if _, ok := open[sid]; ok {
 				return fmt.Errorf("%w: %s: duplicate begin for session %d at offset %d", ErrCorrupt, l.path, sid, pos)
@@ -334,20 +212,20 @@ func (l *Log) replay() error {
 			if !ok {
 				return fmt.Errorf("%w: %s: chunks record for unknown session %d at offset %d", ErrCorrupt, l.path, sid, pos)
 			}
-			if payloadLen%refLen != 0 {
+			if len(payload)%refLen != 0 {
 				return fmt.Errorf("%w: %s: chunks payload length %d not a multiple of %d at offset %d",
-					ErrCorrupt, l.path, payloadLen, refLen, pos)
+					ErrCorrupt, l.path, len(payload), refLen, pos)
 			}
-			n := int(payloadLen / refLen)
-			p.extents = append(p.extents, extent{off: pos + recHeaderLen, n: n})
+			n := len(payload) / refLen
+			p.extents = append(p.extents, extent{off: pos, n: n})
 			p.count += int64(n)
 		case kindEnd:
 			p, ok := open[sid]
 			if !ok {
 				return fmt.Errorf("%w: %s: end record for unknown session %d at offset %d", ErrCorrupt, l.path, sid, pos)
 			}
-			if payloadLen != 8 {
-				return fmt.Errorf("%w: %s: end payload length %d at offset %d", ErrCorrupt, l.path, payloadLen, pos)
+			if len(payload) != 8 {
+				return fmt.Errorf("%w: %s: end payload length %d at offset %d", ErrCorrupt, l.path, len(payload), pos)
 			}
 			if want := int64(binary.LittleEndian.Uint64(payload)); want != p.count {
 				return fmt.Errorf("%w: %s: session %d ended with %d chunks, records hold %d",
@@ -361,25 +239,10 @@ func (l *Log) replay() error {
 				extents: p.extents,
 			})
 		default:
-			return fmt.Errorf("%w: %s: unknown record kind %d at offset %d", ErrCorrupt, l.path, kind, pos)
+			return fmt.Errorf("%w: %s: unknown record kind %d at offset %d", ErrCorrupt, l.path, r.Kind, pos)
 		}
-		pos = end
+		return nil
 	}
-	if pos < size && !l.readOnly {
-		// Discard the torn tail so future appends start at a record
-		// boundary. Unterminated sessions before the tail stay as dead
-		// records: their backups were never acknowledged. A read-only
-		// replay leaves the tail alone — it may be another process's
-		// append in flight, and this opener owns nothing.
-		if err := l.f.Truncate(pos); err != nil {
-			return fmt.Errorf("tracelog: truncate torn tail: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-	}
-	l.size = pos
-	return nil
 }
 
 // Backups returns the committed backup traces in commit order. The
@@ -401,78 +264,19 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
-	if l.f == nil {
+	if l.rl == nil {
 		return nil
 	}
-	l.syncMu.Lock()
-	err := l.f.Close()
-	l.f = nil
-	l.syncMu.Unlock()
-	return err
+	return l.rl.Close()
 }
 
-// buildRecord serializes one record into l.scratch (callers hold l.mu).
-func (l *Log) buildRecord(kind, sid uint32, payload []byte) []byte {
-	n := recHeaderLen + len(payload) + recTrailerLen
-	if cap(l.scratch) < n {
-		l.scratch = make([]byte, n)
-	}
-	buf := l.scratch[:n]
-	binary.LittleEndian.PutUint32(buf[0:], recMagic)
-	binary.LittleEndian.PutUint32(buf[4:], kind)
-	binary.LittleEndian.PutUint32(buf[8:], sid)
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(payload)))
-	off := recHeaderLen + copy(buf[recHeaderLen:], payload)
-	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return buf
-}
-
-// appendRecord appends one record (callers hold l.mu), returning the
-// record's start offset. A failed write leaves the tail state unchanged —
-// the next append lands at the same offset. Durability is deferred to the
-// session's Commit, which runs the group-commit fsync.
-func (l *Log) appendRecord(kind, sid uint32, payload []byte) (int64, error) {
-	if err := l.gc.Err(); err != nil {
-		return 0, fmt.Errorf("tracelog: log poisoned by earlier sync failure: %w", err)
-	}
-	buf := l.buildRecord(kind, sid, payload)
-	at := l.size
-	if _, err := l.f.WriteAt(buf, at); err != nil {
-		return 0, fmt.Errorf("tracelog: append record: %w", err)
-	}
-	l.size += int64(len(buf))
-	return at, nil
-}
-
-// prunePendingLocked drops pending entries covered by durable sequence d.
-func (l *Log) prunePendingLocked(d int64) {
-	i := 0
-	for i < len(l.pending) && l.pending[i].seq <= d {
-		i++
-	}
-	if i > 0 {
-		l.pending = append(l.pending[:0], l.pending[i:]...)
-	}
-}
-
-// truncateToDurableLocked discards end records past the durable boundary
-// after a failed sync. Unsynced chunk records of other in-flight sessions
-// may survive past the boundary as dead space; the log is poisoned, so
-// nothing further appends behind them, and replay's torn-tail handling
-// cleans up after the reopen.
-func (l *Log) truncateToDurableLocked(d int64) {
-	l.prunePendingLocked(d)
-	boundary := l.size
-	if len(l.pending) > 0 {
-		boundary = l.pending[0].off
-	}
-	l.pending = l.pending[:0]
-	if boundary < l.size {
-		l.size = boundary
-	}
-	if l.f != nil && l.f.Truncate(l.size) == nil {
-		_ = l.f.Sync()
-	}
+// appendRecord appends one record without syncing (callers hold l.mu),
+// returning the record's offset and commit sequence. Durability is
+// deferred to the session's Commit, which runs the group-commit fsync.
+func (l *Log) appendRecord(kind, sid uint32, payload []byte) (int64, int64, error) {
+	return l.rl.Append(recordlog.Frame{
+		Kind: kind, W2: sid, W3: uint32(len(payload)), Body: [][]byte{payload},
+	})
 }
 
 // Begin starts recording one backup's upload trace. The returned Session
@@ -488,13 +292,10 @@ func (l *Log) Begin(label string) (*Session, error) {
 	if l.closed {
 		return nil, errors.New("tracelog: log is closed")
 	}
-	if l.readOnly {
-		return nil, errors.New("tracelog: log is open read-only")
-	}
 	s := &Session{log: l, label: label, sid: l.nextSID}
 	l.nextSID++
-	if l.f != nil {
-		if _, err := l.appendRecord(kindBegin, s.sid, []byte(label)); err != nil {
+	if l.rl != nil {
+		if _, _, err := l.appendRecord(kindBegin, s.sid, []byte(label)); err != nil {
 			return nil, err
 		}
 	}
@@ -538,7 +339,7 @@ func (s *Session) ObserveUpload(refs []trace.ChunkRef) error {
 		return errors.New("tracelog: session already committed or aborted")
 	}
 	l := s.log
-	if l.fsys == nil {
+	if l.rl == nil {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if l.closed {
@@ -576,11 +377,11 @@ func (s *Session) spillLocked() error {
 	if l.closed {
 		return errors.New("tracelog: log is closed")
 	}
-	at, err := l.appendRecord(kindChunks, s.sid, s.buf)
+	at, _, err := l.appendRecord(kindChunks, s.sid, s.buf)
 	if err != nil {
 		return err
 	}
-	s.extents = append(s.extents, extent{off: at + recHeaderLen, n: len(s.buf) / refLen})
+	s.extents = append(s.extents, extent{off: at, n: len(s.buf) / refLen})
 	s.buf = s.buf[:0]
 	return nil
 }
@@ -601,7 +402,7 @@ func (s *Session) Commit() error {
 		l.mu.Unlock()
 		return errors.New("tracelog: log is closed")
 	}
-	if l.f == nil {
+	if l.rl == nil {
 		l.backups = append(l.backups, &BackupTrace{
 			Label: s.label, Chunks: s.count, log: l, mem: s.mem,
 		})
@@ -614,25 +415,16 @@ func (s *Session) Commit() error {
 	}
 	var payload [8]byte
 	binary.LittleEndian.PutUint64(payload[:], uint64(s.count))
-	at, err := l.appendRecord(kindEnd, s.sid, payload[:])
+	_, seq, err := l.appendRecord(kindEnd, s.sid, payload[:])
+	l.mu.Unlock()
 	if err != nil {
-		l.mu.Unlock()
 		return err
 	}
-	l.seq++
-	seq := l.seq
-	l.pending = append(l.pending, logPending{seq: seq, off: at})
-	l.mu.Unlock()
-
-	err = l.gc.Commit(seq)
-	d := l.gc.Durable()
+	if err := l.rl.Commit(seq); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err != nil {
-		l.truncateToDurableLocked(d)
-		return fmt.Errorf("tracelog: sync: %w", err)
-	}
-	l.prunePendingLocked(d)
 	l.backups = append(l.backups, &BackupTrace{
 		Label:   s.label,
 		Chunks:  s.count,
@@ -679,16 +471,15 @@ func (t *BackupTrace) ChunkCount() int64 { return t.Chunks }
 func (t *BackupTrace) Open() (attack.ChunkReader, error) {
 	l := t.log
 	l.mu.Lock()
-	f, closed := l.f, l.closed
+	closed := l.closed
 	l.mu.Unlock()
-	if f == nil {
-		if closed {
-			return nil, errors.New("tracelog: log is closed")
-		}
-		r, err := attack.SliceSource(t.mem).Open()
-		return r, err
+	if closed {
+		return nil, errors.New("tracelog: log is closed")
 	}
-	return &traceReader{t: t, f: f}, nil
+	if l.rl == nil {
+		return attack.SliceSource(t.mem).Open()
+	}
+	return &traceReader{t: t}, nil
 }
 
 // Materialize loads the whole trace as a backup stream — the bridge to
@@ -715,12 +506,12 @@ func (t *BackupTrace) Materialize() (*trace.Backup, error) {
 }
 
 // traceReader streams a file-backed trace extent by extent. Each chunks
-// record is read with one ReadAt (safe under concurrent appends to the
-// same file) and CRC-checked before any reference is handed out.
+// record is read whole (safe under concurrent appends to the same file)
+// and verified before any reference is handed out; a closed log fails
+// reads cleanly.
 type traceReader struct {
 	t   *BackupTrace
-	f   vfs.File // captured at Open; a closed log fails reads cleanly
-	ext int      // next extent to load
+	ext int // next extent to load
 	buf []trace.ChunkRef
 	pos int
 }
@@ -743,24 +534,14 @@ func (r *traceReader) Read(buf []trace.ChunkRef) (int, error) {
 
 // load reads and verifies one chunks record, decoding it into r.buf.
 func (r *traceReader) load(e extent) error {
-	l := r.t.log
-	payloadLen := e.n * refLen
-	raw := make([]byte, recHeaderLen+payloadLen+recTrailerLen)
-	if _, err := r.f.ReadAt(raw, e.off-recHeaderLen); err != nil {
-		return fmt.Errorf("tracelog: read trace record: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(raw[0:]); m != recMagic {
-		return fmt.Errorf("%w: %s: bad record magic %#x at offset %d", ErrCorrupt, l.path, m, e.off-recHeaderLen)
-	}
-	crc := crc32.ChecksumIEEE(raw[:recHeaderLen+payloadLen])
-	if stored := binary.LittleEndian.Uint32(raw[recHeaderLen+payloadLen:]); crc != stored {
-		return fmt.Errorf("%w: %s: record checksum mismatch at offset %d", ErrCorrupt, l.path, e.off-recHeaderLen)
+	payload, err := r.t.log.rl.ReadRecord(e.off, int64(e.n*refLen))
+	if err != nil {
+		return err
 	}
 	if cap(r.buf) < e.n {
 		r.buf = make([]trace.ChunkRef, e.n)
 	}
 	r.buf = r.buf[:e.n]
-	payload := raw[recHeaderLen : recHeaderLen+payloadLen]
 	for i := range r.buf {
 		off := i * refLen
 		copy(r.buf[i].FP[:], payload[off:off+fphash.Size])

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"freqdedup/internal/fphash"
+	"freqdedup/internal/recordlog"
 	"freqdedup/internal/trace"
 )
 
@@ -121,7 +122,7 @@ func TestTornTailEveryBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for cut := int64(logHeaderLen); cut <= int64(len(full)); cut++ {
+	for cut := int64(recordlog.HeaderLen); cut <= int64(len(full)); cut++ {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestBadCRCTailTruncated(t *testing.T) {
 
 	// Mid-file corruption is damage, not a torn tail.
 	mut = append([]byte(nil), full...)
-	mut[logHeaderLen+recHeaderLen+3] ^= 0xFF
+	mut[recordlog.HeaderLen+recordlog.RecHeaderLen+3] ^= 0xFF
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
