@@ -505,11 +505,11 @@ func BenchmarkChunkerGearMulti(b *testing.B) {
 	}
 }
 
-// --- Restore pipeline benchmarks (PR 3): BenchmarkRestoreSerial is the
-// --- chunk-at-a-time baseline; BenchmarkRestoreParallel fans container
-// --- fetch+decrypt out to GOMAXPROCS workers, swept across restore
-// --- container-cache sizes (0 = uncached, 1 = single buffer, 64 = the
-// --- whole working set).
+// --- Restore pipeline benchmarks: BenchmarkRestoreSerial runs the restore
+// --- engine inline (one worker, no cache); BenchmarkRestoreParallel fans
+// --- container fetch+decrypt out to GOMAXPROCS workers, swept across
+// --- restore container-cache sizes (0 = uncached, 1 = single buffer, 64 =
+// --- the whole working set).
 
 func benchRestore(b *testing.B, workers, cacheContainers int) {
 	data := benchStream(16 << 20)

@@ -275,11 +275,12 @@ var ErrChunkNotFound = dedup.ErrNotFound
 // corruption surfaces as an error, never as silent wrong bytes.
 var ErrStoreCorrupt = container.ErrCorrupt
 
-// NewClient returns a backup/restore client for a store. Restores run as
-// a parallel container pipeline (ClientConfig.Workers fetch+decrypt
-// goroutines over a ClientConfig.RestoreCacheContainers-bounded LRU
-// container cache) whose output is bit-for-bit identical to a serial
-// restore at every setting.
+// NewClient returns a backup/restore client for a store. Restores
+// assemble the stream in windows of ClientConfig.Workers × container
+// capacity, reading each container a window needs once
+// (ClientConfig.Workers fetch+decrypt goroutines, inline with one, over a
+// ClientConfig.RestoreCacheContainers-bounded LRU container cache); the
+// output is bit-for-bit identical at every setting.
 //
 // Deprecated: use Repository.Backup and Repository.Restore, which manage
 // recipes, sealing, and retention for you and accept a context.

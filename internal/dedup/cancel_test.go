@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,6 +30,15 @@ func waitForBufs(t *testing.T, want int64) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// chunkBufBaseline is the chunker pool's outstanding-buffer count,
+// read once, before the first backup-cancellation test. A cancelled
+// BackupContext returns without waiting for its producer, so the count
+// can touch the baseline just before that producer's in-flight chunker
+// read takes one more buffer and releases it; a baseline read per test or
+// subtest could land inside that window and then wait for a count that
+// never comes back.
+var chunkBufBaseline = sync.OnceValue(chunker.BufsOutstanding)
 
 // ctxCancellingReader cancels the context once cancelAt bytes have been
 // delivered, then keeps delivering, so cancellation lands while the
@@ -67,6 +77,7 @@ func (c *ctxCancellingReader) Read(p []byte) (int, error) {
 // producer, the encrypt fan-out, and the cancellation all overlap.
 func TestBackupCancelDrainsPooledBuffers(t *testing.T) {
 	data := randData(41, 16<<20)
+	baseline := chunkBufBaseline()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -76,7 +87,6 @@ func TestBackupCancelDrainsPooledBuffers(t *testing.T) {
 		{"planned-scramble-4w", Config{Workers: 4, Scramble: true, ScrambleSeed: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			baseline := chunker.BufsOutstanding()
 			client, err := NewClient(NewStore(0), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -108,7 +118,7 @@ func (b *blockingReader) Read(p []byte) (int, error) {
 // still parked, and once the reader finally returns, the producer drains
 // without leaking its buffers.
 func TestBackupCancelWhileReaderBlocked(t *testing.T) {
-	baseline := chunker.BufsOutstanding()
+	baseline := chunkBufBaseline()
 	client, err := NewClient(NewStore(0), Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +141,8 @@ func TestBackupCancelWhileReaderBlocked(t *testing.T) {
 	waitForBufs(t, baseline)
 }
 
-// TestRestoreCancelDrainsPooledBuffers cancels mid-Restore and asserts
+// TestRestoreCancelDrainsPooledBuffers cancels mid-Restore — before the
+// first write, mid-window, and windows in — on both engines, and asserts
 // ctx.Err() plus a fully drained restore-buffer pool. Run under -race.
 func TestRestoreCancelDrainsPooledBuffers(t *testing.T) {
 	data := randData(42, 4<<20)
@@ -145,16 +156,26 @@ func TestRestoreCancelDrainsPooledBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := restoreBufsOutstanding.Load()
-	for _, cancelAt := range []int{0, 64 << 10, 1 << 20} {
-		ctx, cancel := context.WithCancel(context.Background())
-		w := &cancelAtWriter{n: cancelAt, cancel: cancel}
-		err := client.RestoreContext(ctx, recipe, w)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelAt=%d: RestoreContext err = %v, want context.Canceled", cancelAt, err)
+	for _, cfg := range []Config{
+		{Workers: 4, RestoreCacheContainers: 8}, // 256 KiB windows
+		{Workers: 1},                            // inline, 64 KiB windows
+	} {
+		rc, err := NewClient(store, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := restoreBufsOutstanding.Load(); got != baseline {
-			t.Fatalf("cancelAt=%d: %d pooled restore buffers outstanding, want %d", cancelAt, got, baseline)
+		for _, cancelAt := range []int{0, 64 << 10, 1 << 20} {
+			ctx, cancel := context.WithCancel(context.Background())
+			w := &cancelAtWriter{n: cancelAt, cancel: cancel}
+			err := rc.RestoreContext(ctx, recipe, w)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d, cancelAt=%d: RestoreContext err = %v, want context.Canceled", cfg.Workers, cancelAt, err)
+			}
+			if got := restoreBufsOutstanding.Load(); got != baseline {
+				t.Fatalf("workers=%d, cancelAt=%d: %d pooled restore buffers outstanding, want %d",
+					cfg.Workers, cancelAt, got, baseline)
+			}
 		}
 	}
 	// The pipeline still restores cleanly afterwards.

@@ -3,6 +3,8 @@ package dedup
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,14 +42,19 @@ func (b *corruptBackend) Load(shard, id int) (*container.Container, error) {
 }
 
 // degradedFixture backs up ~1 MiB into small containers, seals
-// everything, and marks the container of a mid-stream chunk corrupt.
-// It returns the client, the original bytes, and the expected lost
-// regions (every recipe entry whose chunk lives in the bad container).
-func degradedFixture(t *testing.T, cfg Config) (*Client, *mle.Recipe, []byte, []LostRange) {
+// everything, and marks containers corrupt: the mid-stream chunk's
+// container, or with pair set two containers whose chunks one restore
+// window (at cfg.Workers) interleaves — A, then B, then A again — so the
+// window's lost ranges come from two batches and only stream order lists
+// them correctly. It returns the client, the original bytes, and the
+// expected lost regions (every recipe entry whose chunk lives in a
+// corrupt container).
+func degradedFixture(t *testing.T, cfg Config, pair bool) (*Client, *mle.Recipe, []byte, []LostRange) {
 	t.Helper()
+	const containerBytes = 32 << 10
 	data := randData(17, 1<<20)
-	cb := &corruptBackend{Backend: container.NewMemBackend(DefaultShards)}
-	store, err := NewStoreWithBackend(32<<10, cb)
+	cb := &corruptBackend{Backend: container.NewMemBackend(4)}
+	store, err := NewStoreWithBackend(containerBytes, cb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,27 +69,60 @@ func degradedFixture(t *testing.T, cfg Config) (*Client, *mle.Recipe, []byte, []
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the container of a chunk in the middle of the stream.
-	mid := len(recipe.Entries) / 2
-	ref, _, ok, err := store.locate(recipe.Entries[mid].Fingerprint)
-	if err != nil || !ok {
-		t.Fatalf("mid-stream chunk not located (err=%v)", err)
+	refs := make([]containerRef, len(recipe.Entries))
+	for i, e := range recipe.Entries {
+		ref, _, ok, err := store.locate(e.Fingerprint)
+		if err != nil || !ok {
+			t.Fatalf("chunk %d not located (err=%v)", i, err)
+		}
+		refs[i] = ref
 	}
-	cb.markBad(ref)
+	mid := len(recipe.Entries) / 2
+	bad := []containerRef{refs[mid]}
+	if pair {
+		bad = interleavedContainers(refs, restoreWindowStarts(recipe, cfg.Workers, containerBytes), mid)
+		if bad == nil {
+			t.Fatal("fixture: no window past mid-stream interleaves two containers")
+		}
+	}
+	for _, ref := range bad {
+		cb.markBad(ref)
+	}
 
-	// Every entry stored in that container is now unrecoverable.
 	var lost []LostRange
 	var off uint64
-	for _, e := range recipe.Entries {
-		if r, _, ok, _ := store.locate(e.Fingerprint); ok && r == ref {
+	for i, e := range recipe.Entries {
+		if slices.Contains(bad, refs[i]) {
 			lost = append(lost, LostRange{Offset: off, Length: uint64(e.Size), Fingerprint: e.Fingerprint})
 		}
 		off += uint64(e.Size)
 	}
-	if len(lost) == 0 {
-		t.Fatal("fixture: no entries mapped to the corrupted container")
-	}
 	return client, recipe, data, lost
+}
+
+// interleavedContainers finds, in the first window at or after entry
+// from, containers A != B with entries in the order A, B, A.
+func interleavedContainers(refs []containerRef, starts []int, from int) []containerRef {
+	starts = append(starts, len(refs))
+	for w := 0; w+1 < len(starts); w++ {
+		lo, hi := starts[w], starts[w+1]
+		if hi <= from {
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				if refs[j] == refs[i] {
+					continue
+				}
+				for k := j + 1; k < hi; k++ {
+					if refs[k] == refs[i] {
+						return []containerRef{refs[i], refs[j]}
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // checkDegradedOutput asserts out is exact outside the lost ranges and
@@ -117,7 +157,7 @@ func TestRestoreCorruptContainerStrict(t *testing.T) {
 		{"parallel", Config{Workers: 8, RestoreCacheContainers: 4}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			client, recipe, _, _ := degradedFixture(t, mode.cfg)
+			client, recipe, _, _ := degradedFixture(t, mode.cfg, false)
 			baseline := RestoreBufsOutstanding()
 			var out bytes.Buffer
 			err := client.Restore(recipe, &out)
@@ -135,10 +175,12 @@ func TestRestoreCorruptContainerStrict(t *testing.T) {
 	}
 }
 
-// TestRestoreDegraded: with DegradedRestore, both restore paths complete
-// with zero-filled holes exactly at the corrupted container's chunks,
-// report them through an errors.As-retrievable *DegradedError in stream
-// order, and leak no pooled buffers.
+// TestRestoreDegraded: with DegradedRestore, both restore engines
+// complete with zero-filled holes exactly at the corrupted containers'
+// chunks, report them through an errors.As-retrievable *DegradedError in
+// stream order — also when one window loses the interleaved chunks of two
+// containers, which it reads as separate batches — and leak no pooled
+// buffers.
 func TestRestoreDegraded(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -149,25 +191,29 @@ func TestRestoreDegraded(t *testing.T) {
 		{"parallelNoCache", Config{Workers: 4, DegradedRestore: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			client, recipe, data, lost := degradedFixture(t, mode.cfg)
-			baseline := RestoreBufsOutstanding()
-			var out bytes.Buffer
-			err := client.Restore(recipe, &out)
-			var de *DegradedError
-			if !errors.As(err, &de) {
-				t.Fatalf("degraded restore error = %v, want *DegradedError", err)
-			}
-			if len(de.Ranges) != len(lost) {
-				t.Fatalf("reported %d lost ranges, want %d", len(de.Ranges), len(lost))
-			}
-			for i, r := range de.Ranges {
-				if r != lost[i] {
-					t.Fatalf("lost range %d = %+v, want %+v", i, r, lost[i])
-				}
-			}
-			checkDegradedOutput(t, data, out.Bytes(), lost)
-			if got := RestoreBufsOutstanding(); got != baseline {
-				t.Fatalf("%d pooled restore buffers outstanding after degraded restore, want %d", got, baseline)
+			for _, pair := range []bool{false, true} {
+				t.Run(fmt.Sprintf("interleaved=%v", pair), func(t *testing.T) {
+					client, recipe, data, lost := degradedFixture(t, mode.cfg, pair)
+					baseline := RestoreBufsOutstanding()
+					var out bytes.Buffer
+					err := client.Restore(recipe, &out)
+					var de *DegradedError
+					if !errors.As(err, &de) {
+						t.Fatalf("degraded restore error = %v, want *DegradedError", err)
+					}
+					if len(de.Ranges) != len(lost) {
+						t.Fatalf("reported %d lost ranges, want %d", len(de.Ranges), len(lost))
+					}
+					for i, r := range de.Ranges {
+						if r != lost[i] {
+							t.Fatalf("lost range %d = %+v, want %+v", i, r, lost[i])
+						}
+					}
+					checkDegradedOutput(t, data, out.Bytes(), lost)
+					if got := RestoreBufsOutstanding(); got != baseline {
+						t.Fatalf("%d pooled restore buffers outstanding after degraded restore, want %d", got, baseline)
+					}
+				})
 			}
 		})
 	}

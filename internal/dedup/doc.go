@@ -39,16 +39,21 @@
 //     those configurations buffer the chunk list and fix the upload plan
 //     up front on one goroutine, then run the same windowed fan-out over
 //     the plan.
-//   - Client.Restore is a container-granular parallel pipeline. The
-//     recipe is planned into container read batches (maximal runs of
-//     adjacent chunks stored in the same container); Config.Workers
-//     goroutines fetch each batch's container — through an LRU container
-//     cache bounded by Config.RestoreCacheContainers — and decrypt into
-//     pooled buffers; an in-order writer reassembles the stream,
-//     returning each buffer to the pool as it is written. With one
-//     worker and no cache the serial chunk-at-a-time path runs instead.
-//     On any failure the pipeline drains: every in-flight pooled buffer
-//     is handed back, mirroring Backup's drain-on-error contract.
+//   - Client.Restore assembles the stream forward, one window at a time.
+//     A window is a run of recipe entries holding at most
+//     Config.Workers × the container capacity of plaintext; the planner
+//     groups its entries by container, so each container the window
+//     touches is read and CRC-checked once, however the stream
+//     interleaves the shards' containers. Config.Workers goroutines read
+//     the containers — through an LRU container cache bounded by
+//     Config.RestoreCacheContainers and shared across windows — and
+//     decrypt each entry into its slot in the window's pooled buffers;
+//     an in-order writer emits each finished window, returning each
+//     buffer to the pool as it is written. At most two windows are in
+//     flight. With one worker the same plan runs inline, without
+//     goroutines. On any failure the pipeline drains: every in-flight
+//     pooled buffer is handed back, mirroring Backup's drain-on-error
+//     contract.
 //   - Retention (RegisterBackup / DeleteBackup / GC, see gc.go) is
 //     store-level under its own lock; GC additionally takes every shard
 //     lock in index order, the package's global lock order.
@@ -95,8 +100,8 @@
 //   - With a single shard (NewStoreWithShards(n, 1)) and any worker count,
 //     chunk placement — container IDs, entry order, sealing boundaries —
 //     is bit-for-bit identical to the original serial engine.
-//   - Restore output is byte-identical to the serial restore for every
-//     encryption/defense mode at every worker count and cache size, and
+//   - Restore output is byte-identical to a chunk-at-a-time restore for
+//     every encryption/defense mode at every worker count and cache size, and
 //     a file-backed store reopened with Open restores the same bytes.
 //   - A Store is safe for concurrent use; a Client is not (its scrambling
 //     RNG is stateful). Run one Client per goroutine.

@@ -18,26 +18,29 @@ import (
 // to w. Chunks are fetched by ciphertext fingerprint and decrypted with
 // the per-chunk keys; recipe order restores the pre-scrambling layout.
 //
-// Restore is a container-granular parallel pipeline: the recipe is planned
-// into container read batches (maximal runs of adjacent chunks stored in
-// the same container), Config.Workers goroutines fetch and decrypt the
-// batches — reading whole containers through an LRU container cache of
-// Config.RestoreCacheContainers buffers — and an in-order writer
-// reassembles the stream. The restored bytes are identical to the serial
-// chunk-at-a-time restore at every worker count and cache size; with
-// Workers == 1 and no cache the serial path runs directly. Peak decrypted
-// plaintext held for reordering is bounded by roughly 2×Workers
-// containers.
+// Restore assembles the stream forward, one window at a time. A window is
+// a run of recipe entries holding at most Config.Workers × the store's
+// container capacity of plaintext, and its entries are grouped by the
+// container that stores them: each container a window touches is read
+// (and CRC-checked) once, however the stream interleaves its chunks with
+// other containers' chunks. Config.Workers goroutines read the containers
+// — through an LRU cache of Config.RestoreCacheContainers containers,
+// shared across windows — and decrypt every entry into its slot in the
+// window, and an in-order writer emits each window once all of its
+// containers are in. At most two windows are in flight, so the decrypted
+// plaintext a restore holds is bounded by about 2×Workers containers.
+// With Workers == 1 the same plan runs inline, without goroutines. The
+// restored bytes are identical at every worker count and cache size.
 func (c *Client) Restore(recipe *mle.Recipe, w io.Writer) error {
 	return c.RestoreContext(context.Background(), recipe, w)
 }
 
 // RestoreContext is Restore with cancellation: when ctx is cancelled the
-// pipeline stops promptly between chunks — the fetch+decrypt workers abort,
-// the in-order writer stops writing, and every pooled plaintext buffer
-// still in flight is handed back to the pool before RestoreContext returns
-// ctx.Err(). Bytes written to w before the cancellation stay written; the
-// output is a strict prefix of the stream.
+// pipeline stops promptly between container batches — the workers skip
+// the batches still queued, the in-order writer stops writing, and every
+// pooled plaintext buffer still in flight is handed back to the pool
+// before RestoreContext returns ctx.Err(). Bytes written to w before the
+// cancellation stay written; the output is a strict prefix of the stream.
 func (c *Client) RestoreContext(ctx context.Context, recipe *mle.Recipe, w io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -45,79 +48,72 @@ func (c *Client) RestoreContext(ctx context.Context, recipe *mle.Recipe, w io.Wr
 	if c.store == nil {
 		return errors.New("dedup: client has no store to restore from")
 	}
-	if c.cfg.Workers <= 1 && c.cfg.RestoreCacheContainers == 0 {
-		return c.restoreSerial(ctx, recipe, w)
+	workers := c.cfg.Workers // at least 1: NewClient resolves 0
+	r := &restorer{
+		c:           c,
+		entries:     recipe.Entries,
+		windowBytes: uint64(workers) * uint64(c.store.containerBytes),
+		w:           w,
 	}
-	return c.restoreParallel(ctx, recipe, w)
+	if c.cfg.RestoreCacheContainers > 0 {
+		r.cache = &restoreCache{c: lru.New[containerRef, []container.Entry](uint64(c.cfg.RestoreCacheContainers), nil)}
+	}
+	var err error
+	if workers == 1 {
+		err = r.runInline(ctx)
+	} else {
+		err = r.runParallel(ctx, workers)
+	}
+	if err == nil && len(r.lost) > 0 {
+		return &DegradedError{Ranges: r.lost}
+	}
+	return err
 }
 
-// restoreSerial is the chunk-at-a-time restore loop: one store lookup and
-// one decrypt per recipe entry, in order. It is the oracle the parallel
-// pipeline is proven against and the path Restore takes for the
-// single-worker, uncached configuration.
-func (c *Client) restoreSerial(ctx context.Context, recipe *mle.Recipe, w io.Writer) error {
-	var offset uint64
-	var lost []LostRange
-	for i, e := range recipe.Entries {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ct, err := c.store.Get(e.Fingerprint)
-		if err != nil {
-			if c.cfg.DegradedRestore && lostable(err) {
-				if err := writeZeros(w, int(e.Size)); err != nil {
-					return err
-				}
-				lost = append(lost, LostRange{Offset: offset, Length: uint64(e.Size), Fingerprint: e.Fingerprint})
-				offset += uint64(e.Size)
-				continue
-			}
-			return fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, err)
-		}
-		plain := mle.DecryptDeterministic(e.Key, ct)
-		if len(plain) != int(e.Size) {
-			return fmt.Errorf("dedup: restore: chunk %d size %d, recipe says %d", i, len(plain), e.Size)
-		}
-		if _, err := w.Write(plain); err != nil {
-			return fmt.Errorf("dedup: restore: write: %w", err)
-		}
-		offset += uint64(e.Size)
-	}
-	if len(lost) > 0 {
-		return &DegradedError{Ranges: lost}
-	}
-	return nil
+// restorer is the state of one Restore call: the recipe, the container
+// cache shared by its windows, and the in-order writer's position.
+type restorer struct {
+	c           *Client
+	entries     []mle.RecipeEntry
+	windowBytes uint64
+	cache       *restoreCache // nil when the cache is off
+
+	w      io.Writer
+	offset uint64      // stream offset of the next byte to write
+	lost   []LostRange // degraded holes written so far, in stream order
 }
 
-// writeZeros writes n zero bytes through a pooled buffer.
-func writeZeros(w io.Writer, n int) error {
-	buf := restoreBufGet(n)
-	zeroFill(buf)
-	_, err := w.Write(buf)
-	restoreBufPut(buf)
-	if err != nil {
-		return fmt.Errorf("dedup: restore: write: %w", err)
-	}
-	return nil
+// restoreWindow is one forward-assembly window: recipe entries
+// [start, start+len(slots)), planned into one batch per container.
+type restoreWindow struct {
+	start   int
+	slots   []restoreSlot
+	batches []restoreBatch
+
+	// In the parallel engine the batches finish on different workers: mu
+	// guards pending and err, and the last batch to finish closes done.
+	mu      sync.Mutex
+	pending int
+	err     error
+	done    chan struct{}
 }
 
-// restoreBatch is one unit of the parallel restore plan: a maximal run of
-// adjacent recipe entries whose chunks live in the same container, so the
-// run costs one container fetch.
+// restoreSlot is one entry of a window: its planned location (Index -1
+// when unresolved), then its plaintext in a pooled buffer (nil until its
+// batch fills it); lost marks a degraded zero-filled hole.
+type restoreSlot struct {
+	loc  container.Location
+	buf  []byte
+	lost bool
+}
+
+// restoreBatch is one container's share of a window: the window-relative
+// positions of the entries that container stores, in stream order. A
+// batch with ref.shard == -1 holds the entries the planner could not
+// locate (degraded mode only).
 type restoreBatch struct {
-	ref   containerRef
-	start int // first recipe entry index
-	n     int // number of entries
-}
-
-// restoreResult is one decrypted batch heading to the in-order writer:
-// pooled plaintext buffers in recipe order, or the batch's error. In
-// degraded mode a batch may also carry the lost ranges it zero-filled.
-type restoreResult struct {
-	idx  int
-	bufs [][]byte
-	lost []LostRange
-	err  error
+	ref     containerRef
+	entries []int
 }
 
 // restoreCache is the shared container cache of one Restore call: an LRU
@@ -140,277 +136,275 @@ func (rc *restoreCache) put(ref containerRef, entries []container.Entry) {
 	rc.c.Put(ref, entries, 1)
 }
 
-// restoreParallel plans, fans out, and reassembles. Batches are handed to
-// Config.Workers fetch+decrypt goroutines through a bounded window
-// (2×workers batches in flight), and the caller's goroutine writes
-// finished batches in plan order, releasing each pooled plaintext buffer
-// as soon as it is written. On any error — a missing chunk, a corrupt
-// container, a failing writer — the pipeline drains: in-flight batches
-// finish or abort, and every pooled buffer is handed back (the drain
-// contract mirrors the backup pipeline's).
-func (c *Client) restoreParallel(ctx context.Context, recipe *mle.Recipe, w io.Writer) error {
-	entries := recipe.Entries
-	if len(entries) == 0 {
-		return nil
-	}
-
-	// Plan the recipe into container read batches. Locations are kept so
-	// workers can resolve entries within a fetched container without
-	// searching; they are verified against the fingerprint at use (a
-	// concurrent GC may move chunks) with a point-lookup fallback.
-	locs := make([]container.Location, len(entries))
-	offsets := make([]uint64, len(entries))
-	var off uint64
-	var batches []restoreBatch
-	for i, e := range entries {
-		offsets[i] = off
-		off += uint64(e.Size)
-		ref, loc, ok, lerr := c.store.locate(e.Fingerprint)
-		if lerr != nil && !c.cfg.DegradedRestore {
-			return fmt.Errorf("dedup: restore: chunk %d: %w", i, lerr)
+// runInline is the single-worker engine: each window is planned, filled
+// batch by batch, and written on the caller's goroutine.
+func (r *restorer) runInline(ctx context.Context) error {
+	for start := 0; start < len(r.entries); {
+		win, err := r.plan(start)
+		if err != nil {
+			return err
 		}
-		if !ok || lerr != nil {
-			if !c.cfg.DegradedRestore {
-				return fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, ErrNotFound)
+		for _, b := range win.batches {
+			if err = ctx.Err(); err != nil {
+				break
 			}
-			// Degraded mode: plan the missing chunk into a container-less
-			// batch (adjacent missing chunks share one); the worker's
-			// point-lookup fallback re-checks the store and zero-fills.
-			ref = containerRef{shard: -1, id: -1}
-			loc = container.Location{Index: -1}
+			if err = r.fill(win, b); err != nil {
+				break
+			}
 		}
-		locs[i] = loc
-		if n := len(batches); n > 0 && batches[n-1].ref == ref {
-			batches[n-1].n++
-		} else {
-			batches = append(batches, restoreBatch{ref: ref, start: i, n: 1})
+		if err == nil {
+			err = r.emit(win)
 		}
+		if err != nil {
+			win.release()
+			return err
+		}
+		start += len(win.slots)
 	}
+	return nil
+}
 
-	var cache *restoreCache
-	if c.cfg.RestoreCacheContainers > 0 {
-		cache = &restoreCache{c: lru.New[containerRef, []container.Entry](uint64(c.cfg.RestoreCacheContainers), nil)}
+// runParallel is the multi-worker engine. A planner goroutine cuts the
+// windows and hands each window's batches to the fill workers; the
+// caller's goroutine writes the windows in order. On any error — a
+// missing chunk, a corrupt container, a failing writer, a cancelled ctx —
+// the pipeline drains: the planner stops, the workers skip the batches
+// still queued, and every planned window is released back to the pool
+// before the error returns (the drain contract mirrors the backup
+// pipeline's).
+func (r *restorer) runParallel(ctx context.Context, workers int) error {
+	stopCtx, stop := context.WithCancel(ctx)
+	defer stop()
+
+	type job struct {
+		win *restoreWindow
+		b   restoreBatch
 	}
+	jobs := make(chan job)
+	// One window queues behind the one being written, and the planner
+	// dispatches a window's batches only once it is queued: at most two
+	// windows hold plaintext.
+	windows := make(chan *restoreWindow, 1)
 
-	workers := c.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	inflight := 2 * workers
-
-	jobs := make(chan int)
-	results := make(chan restoreResult, inflight)
-	done := make(chan struct{})
-	sem := make(chan struct{}, inflight)
-
-	// Dispatcher: feeds batch indexes, throttled by the in-flight window
-	// so reordering memory stays bounded. Cancellation stops the feed; the
-	// workers then drain jobs and exit.
 	go func() {
+		defer close(windows)
 		defer close(jobs)
-		for bi := range batches {
-			select {
-			case sem <- struct{}{}:
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
+		for start := 0; start < len(r.entries); {
+			win, err := r.plan(start)
+			if err != nil {
+				win = &restoreWindow{err: err}
+			}
+			win.pending = len(win.batches)
+			win.done = make(chan struct{})
+			if win.pending == 0 {
+				close(win.done)
 			}
 			select {
-			case jobs <- bi:
-			case <-done:
-				return
-			case <-ctx.Done():
+			case windows <- win:
+			case <-stopCtx.Done():
 				return
 			}
+			if err != nil {
+				return
+			}
+			for k, b := range win.batches {
+				select {
+				case jobs <- job{win, b}:
+				case <-stopCtx.Done():
+					for range win.batches[k:] {
+						win.finish(nil)
+					}
+					return
+				}
+			}
+			start += len(win.slots)
 		}
 	}()
 
-	// Fetch+decrypt workers. Each checks for cancellation before starting
-	// a batch, so a cancelled restore stops decrypting within one batch.
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for k := 0; k < workers; k++ {
 		go func() {
 			defer wg.Done()
-			for bi := range jobs {
-				if ctx.Err() != nil {
-					return
+			for j := range jobs {
+				var err error
+				if stopCtx.Err() == nil {
+					err = r.fill(j.win, j.b)
 				}
-				res := c.processRestoreBatch(entries, locs, offsets, batches[bi], cache)
-				res.idx = bi
-				select {
-				case results <- res:
-				case <-done:
-					releaseRestoreBufs(res.bufs)
-					return
-				case <-ctx.Done():
-					releaseRestoreBufs(res.bufs)
-					return
-				}
+				j.win.finish(err)
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
-	// In-order writer: reassemble batches in plan order; after the first
-	// error keep draining so every worker exits and every pooled buffer
-	// comes back. Cancellation is just another first error: the workers
-	// stop on their own, results closes, and the drain below releases
-	// whatever they had produced.
-	pending := make(map[int]restoreResult, inflight)
-	next := 0
+	// In-order writer. After the first error it keeps receiving, so that
+	// every planned window is released once its batches are done.
 	var firstErr error
-	var lostAll []LostRange
-	fail := func(err error) {
-		firstErr = err
-		close(done)
-	}
-	for res := range results {
+	for win := range windows {
+		<-win.done
 		if firstErr == nil {
-			if err := ctx.Err(); err != nil {
-				fail(err)
+			if firstErr = ctx.Err(); firstErr == nil {
+				firstErr = win.err
+			}
+			if firstErr == nil {
+				firstErr = r.emit(win)
+			}
+			if firstErr != nil {
+				stop()
 			}
 		}
-		if firstErr != nil {
-			releaseRestoreBufs(res.bufs)
-			continue
-		}
-		if res.err != nil {
-			fail(res.err)
-			continue
-		}
-		pending[res.idx] = res
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if err := writeRestoreBufs(w, r.bufs); err != nil {
-				fail(err)
-				break
-			}
-			// Lost ranges are appended in plan (stream) order, because
-			// batches are written in plan order.
-			lostAll = append(lostAll, r.lost...)
-			<-sem
-			next++
-		}
+		win.release()
 	}
-	for _, r := range pending {
-		releaseRestoreBufs(r.bufs)
-	}
+	wg.Wait()
 	if firstErr == nil {
-		// The pipeline may have shut down on cancellation before the
-		// writer saw a single result; never report a truncated restore as
-		// success.
+		// The planner stops without a word when ctx is cancelled between
+		// windows; never report a truncated restore as success.
 		firstErr = ctx.Err()
-	}
-	if firstErr == nil && len(lostAll) > 0 {
-		return &DegradedError{Ranges: lostAll}
 	}
 	return firstErr
 }
 
-// processRestoreBatch fetches the batch's container (through the cache,
-// when one is configured) and decrypts its entries into pooled buffers.
-// In degraded mode, unrecoverable chunks become zero-filled buffers with
-// their ranges recorded instead of aborting the batch.
-func (c *Client) processRestoreBatch(entries []mle.RecipeEntry, locs []container.Location, offsets []uint64, b restoreBatch, cache *restoreCache) restoreResult {
-	var centries []container.Entry
-	if b.ref.shard >= 0 {
-		var ok bool
-		if cache != nil {
-			centries, ok = cache.get(b.ref)
+// finish records the outcome of one of the window's batches.
+func (win *restoreWindow) finish(err error) {
+	win.mu.Lock()
+	if win.err == nil {
+		win.err = err
+	}
+	win.pending--
+	last := win.pending == 0
+	win.mu.Unlock()
+	if last {
+		close(win.done)
+	}
+}
+
+// plan cuts the window that starts at entry start — entries up to
+// windowBytes of plaintext, at least one — and groups its entries by
+// container. Locations are kept so fill can pick entries out of a read
+// container without searching; they are verified against the fingerprint
+// at use (a concurrent GC may move chunks). In strict mode an entry the
+// index cannot resolve fails the plan; in degraded mode it joins the
+// window's container-less batch, whose point lookups decide its fate.
+func (r *restorer) plan(start int) (*restoreWindow, error) {
+	end, n := start, uint64(0)
+	for end < len(r.entries) && (end == start || n+uint64(r.entries[end].Size) <= r.windowBytes) {
+		n += uint64(r.entries[end].Size)
+		end++
+	}
+	win := &restoreWindow{start: start, slots: make([]restoreSlot, end-start)}
+	batchOf := make(map[containerRef]int)
+	for j := range win.slots {
+		i := start + j
+		ref, loc, ok, err := r.c.store.locate(r.entries[i].Fingerprint)
+		if err != nil && !r.c.cfg.DegradedRestore {
+			return nil, fmt.Errorf("dedup: restore: chunk %d: %w", i, err)
 		}
-		if !ok {
-			var err error
-			centries, err = c.store.readContainer(b.ref)
-			switch {
-			case errors.Is(err, container.ErrNotFound):
-				// The planned container vanished (a concurrent GC compacted
-				// the shard); every chunk is still live, so fall through with
-				// no container — each entry below takes the point-lookup
-				// fallback.
-				centries = nil
-			case c.cfg.DegradedRestore && lostable(err):
-				// A corrupt container in degraded mode: fall through with no
-				// container, so each entry's point lookup decides its fate
-				// individually (it fails the same way and zero-fills).
-				centries = nil
-			case err != nil:
-				return restoreResult{err: fmt.Errorf("dedup: restore: container %d (shard %d): %w", b.ref.id, b.ref.shard, err)}
-			default:
-				if cache != nil {
-					cache.put(b.ref, centries)
-				}
+		if !ok || err != nil {
+			if !r.c.cfg.DegradedRestore {
+				return nil, fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, r.entries[i].Fingerprint, ErrNotFound)
 			}
+			ref = containerRef{shard: -1, id: -1}
+			loc = container.Location{Index: -1}
 		}
+		win.slots[j].loc = loc
+		b, seen := batchOf[ref]
+		if !seen {
+			b = len(win.batches)
+			batchOf[ref] = b
+			win.batches = append(win.batches, restoreBatch{ref: ref})
+		}
+		win.batches[b].entries = append(win.batches[b].entries, j)
 	}
-	bufs := make([][]byte, 0, b.n)
-	var lost []LostRange
-	abort := func(err error) restoreResult {
-		releaseRestoreBufs(bufs)
-		return restoreResult{err: err}
+	return win, nil
+}
+
+// fill reads batch b's container and decrypts its entries into their
+// window slots. An entry whose planned location went stale (a GC pass
+// moved survivors mid-restore) or was never resolved falls back to a
+// point lookup; in degraded mode an unrecoverable chunk becomes a
+// zero-filled slot marked lost. On error the slots filled so far stay in
+// the window, for its release.
+func (r *restorer) fill(win *restoreWindow, b restoreBatch) error {
+	centries, err := r.readContainer(b.ref)
+	if err != nil {
+		return err
 	}
-	for i := b.start; i < b.start+b.n; i++ {
-		e := entries[i]
+	for _, j := range b.entries {
+		i := win.start + j
+		e := r.entries[i]
 		var ct []byte
-		if idx := locs[i].Index; idx >= 0 && idx < len(centries) && centries[idx].FP == e.Fingerprint {
+		if idx := win.slots[j].loc.Index; idx >= 0 && idx < len(centries) && centries[idx].FP == e.Fingerprint {
 			ct = centries[idx].Data
-		} else {
-			// The planned location went stale (a GC pass moved survivors
-			// mid-restore) or was never resolved; fall back to a point
-			// lookup.
-			var err error
-			ct, err = c.store.Get(e.Fingerprint)
-			if err != nil {
-				if c.cfg.DegradedRestore && lostable(err) {
-					buf := restoreBufGet(int(e.Size))
-					zeroFill(buf)
-					bufs = append(bufs, buf)
-					lost = append(lost, LostRange{Offset: offsets[i], Length: uint64(e.Size), Fingerprint: e.Fingerprint})
-					continue
-				}
-				return abort(fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, err))
+		} else if ct, err = r.c.store.Get(e.Fingerprint); err != nil {
+			if r.c.cfg.DegradedRestore && lostable(err) {
+				buf := restoreBufGet(int(e.Size))
+				zeroFill(buf)
+				win.slots[j].buf, win.slots[j].lost = buf, true
+				continue
 			}
+			return fmt.Errorf("dedup: restore: chunk %d (%v): %w", i, e.Fingerprint, err)
 		}
 		if len(ct) != int(e.Size) {
-			return abort(fmt.Errorf("dedup: restore: chunk %d size %d, recipe says %d", i, len(ct), e.Size))
+			return fmt.Errorf("dedup: restore: chunk %d size %d, recipe says %d", i, len(ct), e.Size)
 		}
 		buf := restoreBufGet(len(ct))
 		mle.DecryptDeterministicInto(e.Key, ct, buf)
-		bufs = append(bufs, buf)
-	}
-	return restoreResult{bufs: bufs, lost: lost}
-}
-
-// writeRestoreBufs writes a batch's buffers in order, releasing each to
-// the pool as it is consumed; on a write error the unwritten remainder is
-// released too.
-func writeRestoreBufs(w io.Writer, bufs [][]byte) error {
-	for i, buf := range bufs {
-		if _, err := w.Write(buf); err != nil {
-			releaseRestoreBufs(bufs[i:])
-			return fmt.Errorf("dedup: restore: write: %w", err)
-		}
-		restoreBufPut(buf)
+		win.slots[j].buf = buf
 	}
 	return nil
 }
 
-// releaseRestoreBufs hands a batch's remaining buffers back to the pool.
-func releaseRestoreBufs(bufs [][]byte) {
-	for _, buf := range bufs {
-		if buf != nil {
+// readContainer returns the entries of a batch's container, through the
+// cache when one is configured. It returns no entries — so every entry
+// takes the point-lookup fallback — for the container-less batch, for a
+// container a concurrent GC compacted away (its chunks are still live,
+// elsewhere), and in degraded mode for a corrupt container (each entry's
+// point lookup then fails the same way and zero-fills).
+func (r *restorer) readContainer(ref containerRef) ([]container.Entry, error) {
+	if ref.shard < 0 {
+		return nil, nil
+	}
+	if r.cache != nil {
+		if centries, ok := r.cache.get(ref); ok {
+			return centries, nil
+		}
+	}
+	centries, err := r.c.store.readContainer(ref)
+	switch {
+	case errors.Is(err, container.ErrNotFound), r.c.cfg.DegradedRestore && lostable(err):
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("dedup: restore: container %d (shard %d): %w", ref.id, ref.shard, err)
+	}
+	if r.cache != nil {
+		r.cache.put(ref, centries)
+	}
+	return centries, nil
+}
+
+// emit writes a finished window's slots in stream order, returning each
+// buffer to the pool once written and recording the degraded holes.
+func (r *restorer) emit(win *restoreWindow) error {
+	for j := range win.slots {
+		s := &win.slots[j]
+		if _, err := r.w.Write(s.buf); err != nil {
+			return fmt.Errorf("dedup: restore: write: %w", err)
+		}
+		if s.lost {
+			r.lost = append(r.lost, LostRange{Offset: r.offset, Length: uint64(len(s.buf)), Fingerprint: r.entries[win.start+j].Fingerprint})
+		}
+		r.offset += uint64(len(s.buf))
+		restoreBufPut(s.buf)
+		s.buf = nil
+	}
+	return nil
+}
+
+// release hands the window's remaining pooled buffers back to the pool.
+func (win *restoreWindow) release() {
+	for j := range win.slots {
+		if buf := win.slots[j].buf; buf != nil {
 			restoreBufPut(buf)
+			win.slots[j].buf = nil
 		}
 	}
 }

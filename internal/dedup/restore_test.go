@@ -2,11 +2,11 @@ package dedup
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"freqdedup/internal/container"
@@ -26,19 +26,54 @@ func restoreModes(t *testing.T) map[string]Config {
 	}
 }
 
+// restoreChunkAtATime is the oracle Restore is proven against: one store
+// lookup and one decrypt per recipe entry, in recipe order.
+func restoreChunkAtATime(store *Store, recipe *mle.Recipe) ([]byte, error) {
+	var out []byte
+	for i, e := range recipe.Entries {
+		ct, err := store.Get(e.Fingerprint)
+		if err != nil {
+			return nil, fmt.Errorf("chunk %d (%v): %w", i, e.Fingerprint, err)
+		}
+		plain := mle.DecryptDeterministic(e.Key, ct)
+		if len(plain) != int(e.Size) {
+			return nil, fmt.Errorf("chunk %d size %d, recipe says %d", i, len(plain), e.Size)
+		}
+		out = append(out, plain...)
+	}
+	return out, nil
+}
+
+// restoreWindowStarts restates Restore's window rule for the tests: a
+// window takes entries while they fit in workers × containerBytes of
+// plaintext, and always at least one. It returns each window's first
+// entry index.
+func restoreWindowStarts(recipe *mle.Recipe, workers, containerBytes int) []int {
+	limit := uint64(workers) * uint64(containerBytes)
+	var starts []int
+	var n uint64
+	for i, e := range recipe.Entries {
+		if len(starts) == 0 || n+uint64(e.Size) > limit {
+			starts = append(starts, i)
+			n = 0
+		}
+		n += uint64(e.Size)
+	}
+	return starts
+}
+
 // TestParallelRestoreMatchesSerial is the pipeline's bit-for-bit
-// guarantee: for every Config mode, the parallel restore pipeline
-// produces output identical to the serial chunk-at-a-time restore — and
-// to the original stream — at workers ∈ {1, 4, 16} and container cache
-// sizes ∈ {0, 1, 64}. Run under -race, it is also the pipeline's
-// concurrency proof.
+// guarantee: for every Config mode, Restore produces output identical to
+// the chunk-at-a-time oracle — and to the original stream — at workers ∈
+// {1, 4, 16} and container cache sizes ∈ {0, 1, 64}. The containers are
+// small, so every configuration's recipe spans several windows. Run under
+// -race, it is also the pipeline's concurrency proof.
 func TestParallelRestoreMatchesSerial(t *testing.T) {
+	const containerBytes = 32 << 10
 	data := randData(91, 1<<20)
 	for mode, cfg := range restoreModes(t) {
 		t.Run(mode, func(t *testing.T) {
-			// Small containers so the recipe spans many of them and the
-			// read plan has real batch structure.
-			store := NewStoreWithShards(32<<10, DefaultShards)
+			store := NewStoreWithShards(containerBytes, DefaultShards)
 			cfg := cfg
 			cfg.Workers = 4
 			client, err := NewClient(store, cfg)
@@ -49,14 +84,17 @@ func TestParallelRestoreMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var serial bytes.Buffer
-			if err := client.restoreSerial(context.Background(), recipe, &serial); err != nil {
-				t.Fatalf("serial restore: %v", err)
+			serial, err := restoreChunkAtATime(store, recipe)
+			if err != nil {
+				t.Fatalf("chunk-at-a-time restore: %v", err)
 			}
-			if !bytes.Equal(serial.Bytes(), data) {
-				t.Fatal("serial restore does not reproduce the original stream")
+			if !bytes.Equal(serial, data) {
+				t.Fatal("chunk-at-a-time restore does not reproduce the original stream")
 			}
 			for _, workers := range []int{1, 4, 16} {
+				if n := len(restoreWindowStarts(recipe, workers, containerBytes)); n < 2 {
+					t.Fatalf("workers=%d: recipe fits in %d window(s); the test needs several", workers, n)
+				}
 				for _, cacheSize := range []int{0, 1, 64} {
 					t.Run(fmt.Sprintf("workers=%d/cache=%d", workers, cacheSize), func(t *testing.T) {
 						rcfg := cfg
@@ -67,11 +105,11 @@ func TestParallelRestoreMatchesSerial(t *testing.T) {
 							t.Fatal(err)
 						}
 						var out bytes.Buffer
-						if err := rc.restoreParallel(context.Background(), recipe, &out); err != nil {
-							t.Fatalf("parallel restore: %v", err)
+						if err := rc.Restore(recipe, &out); err != nil {
+							t.Fatalf("restore: %v", err)
 						}
-						if !bytes.Equal(out.Bytes(), serial.Bytes()) {
-							t.Fatal("parallel restore differs from serial restore")
+						if !bytes.Equal(out.Bytes(), serial) {
+							t.Fatal("restore differs from the chunk-at-a-time restore")
 						}
 					})
 				}
@@ -80,8 +118,108 @@ func TestParallelRestoreMatchesSerial(t *testing.T) {
 	}
 }
 
+// countingBackend counts Load calls per container.
+type countingBackend struct {
+	container.Backend
+	mu    sync.Mutex
+	loads map[containerRef]int
+}
+
+func (b *countingBackend) Load(shard, id int) (*container.Container, error) {
+	b.mu.Lock()
+	b.loads[containerRef{shard: shard, id: id}]++
+	b.mu.Unlock()
+	return b.Backend.Load(shard, id)
+}
+
+// TestRestoreReadsEachContainerOncePerWindow pins restore's read
+// amplification on the layout a repository leaves behind: a file-backed
+// store with 16 shards, each backup sealed on its own (one partial
+// container per shard per backup), so adjacent recipe entries almost
+// never share a container. Restoring the last of several generations
+// with no cache may read each container at most once per window that
+// needs it.
+func TestRestoreReadsEachContainerOncePerWindow(t *testing.T) {
+	const containerBytes = 1 << 20
+	fb, err := container.CreateFileBackend(t.TempDir(), DefaultShards, containerBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := &countingBackend{Backend: fb, loads: make(map[containerRef]int)}
+	store, err := NewStoreWithBackend(containerBytes, cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	client, err := NewClient(store, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randData(120, 4<<20)
+	var recipe *mle.Recipe
+	for gen := int64(0); gen < 5; gen++ {
+		if gen > 0 {
+			data = mutate(data, 120+gen)
+		}
+		if recipe, err = client.Backup(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		// The bound: each window may read every distinct container its
+		// entries live in, once.
+		bound := make(map[containerRef]int)
+		starts := append(restoreWindowStarts(recipe, workers, containerBytes), len(recipe.Entries))
+		for w := 0; w+1 < len(starts); w++ {
+			seen := make(map[containerRef]bool)
+			for _, e := range recipe.Entries[starts[w]:starts[w+1]] {
+				ref, _, ok, err := store.locate(e.Fingerprint)
+				if err != nil || !ok {
+					t.Fatalf("chunk %v not located (err=%v)", e.Fingerprint, err)
+				}
+				if !seen[ref] {
+					seen[ref] = true
+					bound[ref]++
+				}
+			}
+		}
+		cb.mu.Lock()
+		cb.loads = make(map[containerRef]int)
+		cb.mu.Unlock()
+		rc, err := NewClient(store, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := rc.Restore(recipe, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("workers=%d: restore mismatched", workers)
+		}
+		cb.mu.Lock()
+		loads, total, maxTotal := cb.loads, 0, 0
+		cb.mu.Unlock()
+		for _, n := range bound {
+			maxTotal += n
+		}
+		for ref, n := range loads {
+			total += n
+			if n > bound[ref] {
+				t.Errorf("workers=%d: container %d (shard %d) loaded %d times, its entries span %d windows",
+					workers, ref.id, ref.shard, n, bound[ref])
+			}
+		}
+		t.Logf("workers=%d: %d container loads for %d recipe entries in %d windows (bound %d)",
+			workers, total, len(recipe.Entries), len(starts)-1, maxTotal)
+	}
+}
+
 // TestRestoreDispatch checks the public Restore entry point in both its
-// regimes: the serial fast path (workers=1, no cache) and the pipeline.
+// regimes: the inline engine (workers=1) and the goroutine pipeline.
 func TestRestoreDispatch(t *testing.T) {
 	data := randData(92, 512<<10)
 	store := NewStoreWithShards(32<<10, 4)
@@ -94,9 +232,9 @@ func TestRestoreDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{
-		{Workers: 1},                            // serial path
+		{Workers: 1},                            // inline
 		{Workers: 0, RestoreCacheContainers: 8}, // pipeline, GOMAXPROCS workers
-		{Workers: 1, RestoreCacheContainers: 1}, // pipeline, single worker
+		{Workers: 1, RestoreCacheContainers: 1}, // inline, cached
 	} {
 		rc, err := NewClient(store, cfg)
 		if err != nil {
@@ -146,7 +284,7 @@ func TestFileBackedRestoreAfterReopen(t *testing.T) {
 		t.Fatalf("reopened store has %d unique chunks, want %d", got, beforeUnique)
 	}
 	for _, cfg := range []Config{
-		{Workers: 1},                             // serial
+		{Workers: 1},                             // inline
 		{Workers: 4, RestoreCacheContainers: 16}, // pipeline
 	} {
 		rc, err := NewClient(reopened, cfg)
@@ -255,7 +393,7 @@ func corruptShardFile(t *testing.T, dir string, shard int) {
 }
 
 // TestRestoreCorruptContainerOnDisk flips a byte in a persisted container
-// and checks that both restore paths surface container.ErrCorrupt instead
+// and checks that both restore engines surface container.ErrCorrupt instead
 // of returning wrong bytes.
 func TestRestoreCorruptContainerOnDisk(t *testing.T) {
 	dir := t.TempDir()
@@ -283,7 +421,7 @@ func TestRestoreCorruptContainerOnDisk(t *testing.T) {
 	}
 	defer reopened.Close()
 	for _, cfg := range []Config{
-		{Workers: 1},                            // serial
+		{Workers: 1},                            // inline
 		{Workers: 4, RestoreCacheContainers: 4}, // pipeline
 	} {
 		rc, err := NewClient(reopened, cfg)
@@ -372,9 +510,10 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 // TestRestoreWriterErrorReleasesPooledBuffers mirrors the backup
-// pipeline's drain-on-error contract: a mid-restore writer failure must
-// stop the pipeline, propagate the error, and hand every pooled plaintext
-// buffer back (in-flight batches included).
+// pipeline's drain-on-error contract: a mid-restore writer failure —
+// before the first window, mid-window, across windows — must stop both
+// engines, propagate the error, and hand every pooled plaintext buffer
+// back (in-flight windows included).
 func TestRestoreWriterErrorReleasesPooledBuffers(t *testing.T) {
 	data := randData(98, 1<<20)
 	store := NewStoreWithShards(32<<10, DefaultShards)
@@ -387,14 +526,23 @@ func TestRestoreWriterErrorReleasesPooledBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := restoreBufsOutstanding.Load()
-	for _, failAt := range []int{0, 100, 128 << 10, 768 << 10} {
-		err := client.Restore(recipe, &failAfterWriter{n: failAt})
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("restore with writer failing at %d: %v, want errBoom", failAt, err)
+	for _, cfg := range []Config{
+		{Workers: 8, RestoreCacheContainers: 4}, // 256 KiB windows
+		{Workers: 1},                            // inline, 32 KiB windows
+	} {
+		rc, err := NewClient(store, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := restoreBufsOutstanding.Load(); got != baseline {
-			t.Fatalf("failAt=%d: %d pooled restore buffers outstanding, want %d",
-				failAt, got, baseline)
+		for _, failAt := range []int{0, 100, 128 << 10, 768 << 10} {
+			err := rc.Restore(recipe, &failAfterWriter{n: failAt})
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("workers=%d: restore with writer failing at %d: %v, want errBoom", cfg.Workers, failAt, err)
+			}
+			if got := restoreBufsOutstanding.Load(); got != baseline {
+				t.Fatalf("workers=%d, failAt=%d: %d pooled restore buffers outstanding, want %d",
+					cfg.Workers, failAt, got, baseline)
+			}
 		}
 	}
 	// And a clean restore still works afterwards, reusing the pool.
@@ -411,7 +559,7 @@ func TestRestoreWriterErrorReleasesPooledBuffers(t *testing.T) {
 }
 
 // TestRestoreMissingChunkParallel: a recipe referencing an unknown
-// fingerprint fails the plan with ErrNotFound before any worker runs.
+// fingerprint fails its window's plan with ErrNotFound.
 func TestRestoreMissingChunkParallel(t *testing.T) {
 	store := NewStore(0)
 	client, err := NewClient(store, Config{Workers: 4, RestoreCacheContainers: 4})

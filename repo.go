@@ -270,15 +270,20 @@ func WithScramble(seed int64) RepositoryOption {
 
 // WithWorkers sets how many goroutines the backup encrypt stage and the
 // restore fetch+decrypt stage fan out to (GOMAXPROCS if unset; 1 runs the
-// pipelines inline). Results are identical at every worker count.
+// pipelines inline). It also sizes the restore window, n × container
+// capacity of plaintext: restore reads each container once per window and
+// holds at most two windows of decrypted data. Results are identical at
+// every worker count.
 func WithWorkers(n int) RepositoryOption {
 	return func(o *repoOptions) { o.cfg.Workers = n }
 }
 
-// WithRestoreCache bounds the parallel restore pipeline's LRU container
-// cache, in containers (0, the default, disables it). Restored bytes are
-// identical at every setting; on a file-backed repository the cache is
-// what turns restore from one read per chunk into one read per container.
+// WithRestoreCache bounds the restore pipeline's LRU container cache, in
+// containers (0, the default, disables it). Restore already reads each
+// container once per window of Workers × container capacity; the cache
+// keeps a container whose chunks recur in later windows from being read
+// again.
+// Restored bytes are identical at every setting.
 func WithRestoreCache(containers int) RepositoryOption {
 	return func(o *repoOptions) { o.cfg.RestoreCacheContainers = containers }
 }

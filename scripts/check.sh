@@ -61,6 +61,12 @@ go build ./... || fail "go build"
 echo "== go test -race"
 go test -race ./... || fail "go test -race"
 
+# The restore engine's window hand-off, drain and cancellation paths and
+# the backup-cancellation buffer accounting depend on goroutine timing: one
+# -race pass can miss an interleaving that a repeat catches.
+echo "== restore/cancel concurrency repeat (-race -count=3)"
+go test -race -count=3 -run 'Restore|Cancel|Degraded' ./internal/dedup || fail "restore/cancel concurrency repeat"
+
 # perfbench/ is a nested module, so the root ./... never builds it: vet
 # and test it on its own so a library change that breaks the benchmark
 # harness fails here rather than in the post-merge benchmark run.
